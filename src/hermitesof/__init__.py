@@ -41,7 +41,6 @@ from .polynomials import (
     char_poly,
     differentiate,
     optimal_rho,
-    scale_frequency,
     split_re_im,
     vec_gain,
 )

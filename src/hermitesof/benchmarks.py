@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import HermiteSofError, InputError
 from .hermite import hermite_power, scaled_hermite
 from .polynomials import MultiPoly, PolyInS, char_poly
 from .solver import SofProgram, SolveConfig, SolveReport, solve_sof, verify_solution
@@ -298,9 +299,7 @@ def run_single(name: str, plant, cfg: ExperimentConfig) -> ExperimentRow:
         else:
             raise InputError(f"unknown basis {cfg.basis!r}")
         prog = SofProgram(H, mu=cfg.mu, m=m, p=p)
-        scfg = cfg.solver or SolveConfig()
-        scfg.k0 = k0
-        scfg.lam0 = cfg.lam0
+        scfg = dataclasses.replace(cfg.solver or SolveConfig(), k0=k0, lam0=cfg.lam0)
         report = solve_sof(prog, scfg)
         _, stable, _ = verify_solution(q, report.K)
         return ExperimentRow(
@@ -316,7 +315,7 @@ def run_single(name: str, plant, cfg: ExperimentConfig) -> ExperimentRow:
             status=report.status,
             stable=stable,
         )
-    except Exception as exc:  # record, never abort the batch
+    except (HermiteSofError, np.linalg.LinAlgError) as exc:  # a row, not an abort
         return ExperimentRow(
             system=name,
             basis=cfg.basis,

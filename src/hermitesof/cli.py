@@ -8,6 +8,7 @@ non-convergence or unstable gain, 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -169,20 +170,20 @@ def cmd_solve(args) -> int:
         mu=args.mu if args.mu is not None else (base.mu if base else 1e-5),
         k0=_parse_floats(args.K0) if args.K0 else (base.k0 if base else None),
         target=_target_spec(args) or (base.target if base else None),
-        part=args.part or (base.part if base else "im"),
+        part=args.part or (base.part if base else _default_part(args, _sym_poly(plant)[0])),
         lam0=args.lambda0,
         solver=base.solver if base else None,
     )
     if cfg.basis == "lagrange" and cfg.target is None:
         cfg.target = TargetSpec(mode="mirror-shift", shift=-0.5)
-    scfg = cfg.solver or SolveConfig()
-    if args.P0 is not None:
-        scfg.p0 = args.P0
-    if args.tol_inner is not None:
-        scfg.tol_inner = args.tol_inner
-    if args.tol_outer is not None:
-        scfg.tol_outer = args.tol_outer
-    cfg.solver = scfg
+    overrides = {
+        name: value
+        for name, value in (
+            ("p0", args.P0), ("tol_inner", args.tol_inner), ("tol_outer", args.tol_outer)
+        )
+        if value is not None
+    }
+    cfg.solver = dataclasses.replace(cfg.solver or SolveConfig(), **overrides)
     row = run_single(args.fixture, plant, cfg)
     if args.format == "json":
         print(json.dumps(row.__dict__, indent=1))
@@ -228,14 +229,7 @@ def cmd_bench(args) -> int:
     suites = {"table1": table1_suite, "table2": table2_suite}
     if args.suite not in suites:
         raise InputError(f"unknown suite {args.suite!r}")
-    entries = suites[args.suite]()
-    if args.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(lambda e: run_experiment([e])[0], entries))
-    else:
-        rows = run_experiment(entries)
+    rows = run_experiment(suites[args.suite]())
     if args.format == "csv":
         out = rows_to_csv(rows)
     elif args.format == "json":
@@ -298,7 +292,6 @@ def main(argv=None) -> int:
     sp.add_argument("--suite", default="table1")
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
     sp.add_argument("--out", help="also write CSV to this path")
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)

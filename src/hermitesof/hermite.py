@@ -118,40 +118,84 @@ class ScalingDiag:
 
 @dataclass
 class HermiteForm:
-    """Hermite matrix with polynomial entries and basis metadata."""
+    """Hermite matrix H(k) = sum_t k**E[t] * C[t] with basis metadata.
+
+    E (T x nvars, int) holds the exponents of the monomials that occur, in
+    graded order, and C (T x n x n) their coefficient matrices: real, and
+    complex only for mode="hermitian" Lagrange forms.  Polynomial entries
+    are built from the tensor only on request, for display.
+    """
 
     basis: str  # "power" | "lagrange" | "scaled-lagrange"
-    entries: list[list[MultiPoly]]
-    nvars: int
+    E: np.ndarray
+    C: np.ndarray
     nodes: NodeSet | None = None
     scaling: ScalingDiag | None = None
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def eval_at(self, k: Sequence[float] | None = None) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n), dtype=complex)
+    @classmethod
+    def from_entries(
+        cls, basis: str, entries: Sequence[Sequence[MultiPoly]], nvars: int
+    ) -> "HermiteForm":
+        """Pack a square matrix of polynomials into the monomial tensor."""
+        n = len(entries)
+        monos = sorted(
+            {m for row in entries for e in row for m in e.terms},
+            key=lambda m: (sum(m), m),
+        )
+        index = {m: t for t, m in enumerate(monos)}
+        E = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+        C = np.zeros((len(monos), n, n), dtype=complex)
         for i in range(n):
             for j in range(n):
-                out[i, j] = self.entries[i][j](k)
-        if np.max(np.abs(out.imag)) <= 1e-12 * max(1.0, np.max(np.abs(out))):
+                for m, c in entries[i][j].terms.items():
+                    C[index[m], i, j] = c
+        if not C.imag.any():
+            C = C.real.copy()
+        return cls(basis=basis, E=E, C=C)
+
+    @property
+    def nvars(self) -> int:
+        return self.E.shape[1]
+
+    @property
+    def n(self) -> int:
+        return self.C.shape[1]
+
+    def eval_at(self, k: Sequence[float] | None = None) -> np.ndarray:
+        if k is None:
+            if self.E.any():
+                raise InputError("polynomial is not constant")
+            k = np.zeros(self.nvars)
+        k = np.asarray(k, dtype=float)
+        if k.shape != (self.nvars,):
+            raise InputError(f"gain vector length {k.size}, expected {self.nvars}")
+        out = eval_terms(self.E, self.C, k)
+        if np.iscomplexobj(out) and np.max(np.abs(out.imag)) <= 1e-12 * max(
+            1.0, np.max(np.abs(out))
+        ):
             return out.real
         return out
 
     def entry(self, i: int, j: int) -> MultiPoly:
         """1-based entry accessor matching the display convention."""
-        return self.entries[i - 1][j - 1]
-
-    def map_entries(self, fn) -> "HermiteForm":
-        return HermiteForm(
-            basis=self.basis,
-            entries=[[fn(e) for e in row] for row in self.entries],
-            nvars=self.nvars,
-            nodes=self.nodes,
-            scaling=self.scaling,
+        col = self.C[:, i - 1, j - 1]
+        rows = np.flatnonzero(col)
+        return MultiPoly(
+            self.nvars,
+            {tuple(m): c for m, c in zip(self.E[rows].tolist(), col[rows].tolist())},
         )
+
+    @property
+    def entries(self) -> list[list[MultiPoly]]:
+        return [
+            [self.entry(i, j) for j in range(1, self.n + 1)]
+            for i in range(1, self.n + 1)
+        ]
+
+
+def eval_terms(E: np.ndarray, C: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum_t k**E[t] * C[t] for a float gain vector k."""
+    return np.tensordot(np.prod(k**E, axis=1), C, axes=1)
 
 
 # -- power basis ---------------------------------------------------------
@@ -187,7 +231,7 @@ def bezoutian(a: PolyInS, b: PolyInS, n: int | None = None) -> HermiteForm:
                 acc = acc + ac[j + 1 + t] * bc[i - t] - ac[i - t] * bc[j + 1 + t]
             entries[i][j] = acc
             entries[j][i] = acc
-    return HermiteForm(basis="power", entries=entries, nvars=nv)
+    return HermiteForm.from_entries("power", entries, nv)
 
 
 def hermite_power(q: PolyInS) -> HermiteForm:
@@ -241,38 +285,37 @@ def hermite_lagrange(
         raise InputError(f"unknown mode {mode!r}")
 
     HP = hermite_power(q)
-    nv = HP.nvars
     Wrow = _node_weights(nodes, n, conjugate=True)
     Wcol = _node_weights(nodes, n, conjugate=False)
+    # W[p, r, i, j] = Wrow[p, i] * Wcol[r, j], multiplied out in real
+    # arithmetic so that no fused multiply-add changes its rounding
+    ar, ai = Wrow.real[:, None, :, None], Wrow.imag[:, None, :, None]
+    br, bi = Wcol.real[None, :, None, :], Wcol.imag[None, :, None, :]
+    W = np.empty((n, n, n, n), dtype=complex)
+    W.real = ar * br - ai * bi
+    W.imag = ar * bi + ai * br
 
-    entries = [[MultiPoly(nv) for _ in range(n)] for _ in range(n)]
-    scale = max(
-        (HP.entries[i][j].max_abs_coeff() for i in range(n) for j in range(n)),
-        default=0.0,
-    )
-    node_mag = max((abs(u) for u in nodes.values), default=0.0)
-    chop = 1e-10 * max(1.0, scale) * max(1.0, node_mag) ** (2 * (n - 1))
-
-    for i in range(n):
-        jlo = i if mode == "symmetric" else 0
-        for j in range(jlo, n):
-            acc = MultiPoly(nv)
-            for p in range(n):
-                wi = Wrow[p, i]
-                if wi == 0:
-                    continue
-                for r in range(n):
-                    w = wi * Wcol[r, j]
-                    if w == 0:
-                        continue
-                    acc = acc + HP.entries[p][r] * w
-            if mode == "symmetric":
-                acc = acc.real_chopped(chop)
-                entries[i][j] = acc
-                entries[j][i] = acc
-            else:
-                entries[i][j] = acc
-    return HermiteForm(basis="lagrange", entries=entries, nvars=nv, nodes=nodes)
+    # C_L[t] = Wrow^T C_P[t] Wcol, accumulated p-major, r-minor: the order
+    # fixes the rounding, and the solver's outcomes follow the last ulp
+    CL = np.zeros((len(HP.E), n, n), dtype=complex)
+    for p in range(n):
+        for r in range(n):
+            CL += HP.C[:, p, r, None, None] * W[p, r]
+    if mode == "symmetric":
+        scale = float(np.abs(HP.C).max(initial=0.0))
+        node_mag = max((abs(u) for u in nodes.values), default=0.0)
+        chop = 1e-10 * max(1.0, scale) * max(1.0, node_mag) ** (2 * (n - 1))
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        bad = np.argwhere(((np.abs(CL.imag) > chop) & upper).transpose(1, 2, 0))
+        if bad.size:
+            i, j, t = bad[0]
+            raise DegenerateInputError(
+                f"coefficient {CL[t, i, j]} of monomial {tuple(HP.E[t].tolist())} "
+                "has non-negligible imaginary part"
+            )
+        CL = np.where(upper, CL.real, CL.real.transpose(0, 2, 1))
+    keep = CL.reshape(len(CL), -1).any(axis=1)
+    return HermiteForm(basis="lagrange", E=HP.E[keep], C=CL[keep], nodes=nodes)
 
 
 def congruence_check(q: PolyInS, nodes: NodeSet) -> float:
@@ -322,14 +365,10 @@ def scaling_from_numeric(H: np.ndarray, nodes: NodeSet | None = None) -> Scaling
 
 
 def apply_scaling(H: HermiteForm, S: ScalingDiag) -> HermiteForm:
-    entries = [
-        [H.entries[i][j] * float(S.values[i] * S.values[j]) for j in range(H.n)]
-        for i in range(H.n)
-    ]
     return HermiteForm(
         basis="scaled-lagrange",
-        entries=entries,
-        nvars=H.nvars,
+        E=H.E,
+        C=H.C * np.outer(S.values, S.values),
         nodes=H.nodes,
         scaling=S,
     )

@@ -1,9 +1,10 @@
 """Polynomial arithmetic in the gain variables and the frequency variable.
 
-Coefficients are double-precision floats (complex allowed transiently during
-Lagrange-basis construction).  A sparse multivariate polynomial in the gain
-vector k is a map from exponent tuples to coefficients; a polynomial in the
-frequency variable s carries one such multivariate coefficient per power of s.
+Coefficients are double-precision floats (complex in the displayed entries
+of hermitian-mode Lagrange forms).  A sparse multivariate polynomial in the
+gain vector k is a map from exponent tuples to coefficients; a polynomial in
+the frequency variable s carries one such multivariate coefficient per power
+of s.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ class MultiPoly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other) -> "MultiPoly":
@@ -133,18 +131,7 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    # -- calculus / evaluation -----------------------------------------
-
-    def diff(self, var: int) -> "MultiPoly":
-        """Partial derivative with respect to gain variable `var` (0-based)."""
-        terms: dict[Exponents, complex] = {}
-        for m, c in self.terms.items():
-            e = m[var]
-            if e == 0:
-                continue
-            dm = m[:var] + (e - 1,) + m[var + 1:]
-            terms[dm] = terms.get(dm, 0) + c * e
-        return MultiPoly(self.nvars, terms)
+    # -- evaluation ----------------------------------------------------
 
     def __call__(self, k: Sequence[float] | None = None) -> complex:
         if self.nvars == 0 or k is None:
@@ -159,19 +146,6 @@ class MultiPoly:
                     v *= ki ** e
             total += v
         return total
-
-    def real_chopped(self, tol: float) -> "MultiPoly":
-        """Drop imaginary parts below `tol`; raise if a larger one survives."""
-        terms: dict[Exponents, complex] = {}
-        for m, c in self.terms.items():
-            c = complex(c)
-            if abs(c.imag) > tol:
-                raise DegenerateInputError(
-                    f"coefficient {c} of monomial {m} has non-negligible imaginary part"
-                )
-            if c.real != 0.0:
-                terms[m] = c.real
-        return MultiPoly(self.nvars, terms)
 
     # -- formatting ----------------------------------------------------
 
@@ -371,16 +345,6 @@ def optimal_rho(q: PolyInS) -> float:
     if q0 == 0 or qn == 0:
         raise DegenerateInputError("zero constant or leading coefficient")
     return float((abs(qn) / abs(q0)) ** (1.0 / n))
-
-
-def scale_frequency(q: PolyInS, rho: float) -> PolyInS:
-    """Return q(rho*s) / (rho**n * q_n), monic with balanced end coefficients."""
-    if not q.is_numeric:
-        raise InputError("scale_frequency requires a numeric polynomial")
-    c = q.numeric_coeffs()
-    n = q.degree_actual()
-    out = [c[i] * rho ** (i - n) / c[n] for i in range(n + 1)]
-    return PolyInS.from_numeric(out)
 
 
 # -- characteristic polynomial ------------------------------------------

@@ -13,38 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BarrierDomainError, InputError
-from .hermite import HermiteForm
+from .hermite import HermiteForm, eval_terms
 from .polynomials import PolyInS, char_poly, vec_gain
 from .stability import roots as poly_roots
 from .systems import SystemInstance
-
-
-def _compile_matrix(entries, nvars: int):
-    """Pack a polynomial matrix into (exponent array [T, nvars], coefficient
-    tensor [T, n, n]) for vectorized evaluation."""
-    n = len(entries)
-    monos = sorted(
-        {m for row in entries for e in row for m in e.terms},
-        key=lambda m: (sum(m), m),
-    )
-    index = {m: t for t, m in enumerate(monos)}
-    T = max(len(monos), 1)
-    E = np.zeros((T, nvars), dtype=np.int64)
-    C = np.zeros((T, n, n))
-    for m, t in index.items():
-        E[t] = m
-    for i in range(n):
-        for j in range(n):
-            for m, c in entries[i][j].terms.items():
-                C[index[m], i, j] = complex(c).real
-    return E, C
-
-
-def _eval_compiled(E, C, k: np.ndarray) -> np.ndarray:
-    if E.shape[1] == 0:
-        return C.sum(axis=0)
-    powers = np.prod(np.asarray(k, dtype=float) ** E, axis=1)
-    return np.tensordot(powers, C, axes=1)
 
 
 @dataclass
@@ -64,21 +36,22 @@ class SofProgram:
             self.p = self.mp // self.m
         if self.m * self.p != self.mp:
             raise InputError("m*p must equal the gain-variable count")
-        n = self.H.n
-        self._hc = _compile_matrix(self.H.entries, self.mp)
-        self._dhc = [
-            _compile_matrix(
-                [[self.H.entries[i][j].diff(l) for j in range(n)] for i in range(n)],
-                self.mp,
-            )
-            for l in range(self.mp)
-        ]
+        E, C = self.H.E, self.H.C.real
+        self._hc = (E, C)
+        # dH/dk_l: the monomials with k_l in them, that exponent lowered by
+        # one and the coefficient multiplied by it
+        self._dhc = []
+        for l in range(self.mp):
+            rows = E[:, l] > 0
+            El = E[rows]
+            El[:, l] -= 1
+            self._dhc.append((El, C[rows] * E[rows, l, None, None]))
 
     def h_eval(self, k) -> np.ndarray:
-        return _eval_compiled(*self._hc, np.asarray(k, dtype=float))
+        return eval_terms(*self._hc, np.asarray(k, dtype=float))
 
     def dh_eval(self, k, l: int) -> np.ndarray:
-        return _eval_compiled(*self._dhc[l], np.asarray(k, dtype=float))
+        return eval_terms(*self._dhc[l], np.asarray(k, dtype=float))
 
 
 @dataclass

@@ -10,9 +10,11 @@ from hermitesof.benchmarks import (
     registry,
     rows_to_csv,
     run_experiment,
+    run_single,
     save_instance,
 )
 from hermitesof.errors import InputError
+from hermitesof.solver import SolveConfig
 
 
 REG = registry()
@@ -98,3 +100,11 @@ def test_run_experiment_deterministic():
     first = rows_to_csv(run_experiment(job))
     second = rows_to_csv(run_experiment(job))
     assert first == second
+
+
+def test_run_single_leaves_solver_config_unchanged():
+    scfg = SolveConfig(max_outer=1, max_inner=2)
+    cfg = ExperimentConfig("power", 1e-3, k0=[0.0, 30.0], lam0=-1.0, solver=scfg)
+    run_single("NN1", REG["systems"]["NN1"], cfg)
+    assert scfg.k0 is None and scfg.lam0 is None
+    assert scfg == SolveConfig(max_outer=1, max_inner=2)

@@ -1,5 +1,6 @@
 """Command-line interface: output content and exit codes."""
 
+import json
 import re
 
 from hermitesof.cli import main
@@ -74,3 +75,15 @@ def test_bench_table2_skips_without_data(capsys, tmp_path):
 def test_unknown_fixture_exit_code(capsys):
     rc = main(["hermite", "--fixture", "NOPE", "--basis", "power"])
     assert rc == 2
+
+
+def test_solve_even_degree_instance_default_part(capsys, tmp_path):
+    # degree 2: the imaginary part has degree 1, so the nodes must come
+    # from the real part when no --part is given
+    path = tmp_path / "even.json"
+    path.write_text(json.dumps(
+        {"name": "even", "A": [[0, 1], [1, 0]], "B": [[0], [1]], "C": [[1, 0], [0, 1]]}
+    ))
+    main(["solve", "--fixture", str(path), "--format", "csv"])
+    row = capsys.readouterr().out.splitlines()[1]
+    assert not row.split(",")[9].startswith("error:"), row

@@ -17,7 +17,8 @@ from hermitesof.hermite import (
     scaling_from_numeric,
 )
 from hermitesof.polynomials import MultiPoly, PolyInS, char_poly, differentiate, split_re_im
-from hermitesof.stability import nodes_from_target, roots
+from hermitesof.stability import TargetSpec, build_target, nodes_from_target, roots
+from hermitesof.systems import SystemInstance
 
 from conftest import random_numeric_poly, random_stable_poly, relerr
 
@@ -368,6 +369,39 @@ def test_scaled_hermite_at_target_gains_is_sign_matrix(rng):
         snapped = np.round(HS)
         assert np.max(np.abs(HS - snapped)) <= 1e-9
         assert set(np.unique(snapped)) <= {-1.0, 0.0, 1.0}
+
+
+def _planted_plant(seed, n, m, p):
+    """Seeded plant A = A0 - B K C with Hurwitz A0, so K stabilizes it."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    A0 = G - (np.linalg.eigvals(G).real.max() + 0.5) * np.eye(n)
+    B, C = rng.standard_normal((n, m)), rng.standard_normal((p, n))
+    A = A0 - B @ rng.standard_normal((m, p)) @ C
+    return SystemInstance(name=f"planted-{seed}", A=A, B=B, C=C)
+
+
+def test_build_then_evaluate_matches_evaluate_then_build(rng):
+    # the scaled tensor at k against the numeric path on q(k), same nodes and S
+    mirror = TargetSpec(mode="mirror-shift", shift=-0.5)
+    q_nn1 = char_poly(NN1)
+    cases = [
+        (q_nn1, build_target(roots(q_nn1.at_gains([0.0, 0.0])), mirror), "im"),
+        (REG["polys"]["AC4"].q, build_target([], REG["targets"]["AC4_shifted"]), "re"),
+        (NN6, build_target([], REG["targets"]["NN6_sigma1"]), "im"),
+    ]
+    for seed, shape in enumerate([(4, 1, 2), (4, 2, 1), (4, 2, 2)]):
+        plant = _planted_plant(seed, *shape)
+        q = char_poly(plant)
+        cases.append((q, build_target(roots(q.at_gains(np.zeros(plant.mp))), mirror), "re"))
+    for q, target, part in cases:
+        nodes = nodes_from_target(target, part=part)
+        HS = scaled_hermite(q, target, nodes=nodes)
+        S = HS.scaling.values
+        for _ in range(10):
+            k = rng.standard_normal(q.nvars)
+            ref = S[:, None] * hermite_lagrange(q.at_gains(k), nodes).eval_at() * S[None, :]
+            assert np.max(np.abs(HS.eval_at(k) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 # -- power-basis scaling and conditioning -----------------------------------

@@ -31,7 +31,7 @@ def _const_form(M):
     entries = [
         [MultiPoly.constant(M[i, j], 0) for j in range(n)] for i in range(n)
     ]
-    return HermiteForm(basis="power", entries=entries, nvars=0)
+    return HermiteForm.from_entries("power", entries, 0)
 
 
 def _random_form(rng, n, nvars):
@@ -56,7 +56,7 @@ def _random_form(rng, n, nvars):
             p = rand_poly()
             entries[i][j] = p
             entries[j][i] = p
-    return HermiteForm(basis="power", entries=entries, nvars=nvars)
+    return HermiteForm.from_entries("power", entries, nvars)
 
 
 def _ac4_scaled_program():
@@ -179,7 +179,7 @@ def test_counters_and_feasibility_invariants():
 def test_solve_infeasible_program():
     # H = [[-1 - k^2]] can never reach positive definiteness
     entries = [[MultiPoly(1, {(0,): -1.0, (2,): -1.0})]]
-    H = HermiteForm(basis="power", entries=entries, nvars=1)
+    H = HermiteForm.from_entries("power", entries, 1)
     report = solve_sof(SofProgram(H, mu=0.0, m=1, p=1), SolveConfig(k0=[0.5]))
     assert report.status == "infeasible-stall"
     assert report.lam <= 1e-9
