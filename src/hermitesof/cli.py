@@ -94,6 +94,17 @@ def cmd_hermite(args) -> int:
             raise InputError("lagrange basis needs --roots or --target-shift")
         target = _resolve_target(q, m * p, spec)
         H = scaled_hermite(q, target, part=_default_part(args, q))
+    entries = {
+        f"{i},{j}": str(H.entry(i, j))
+        for i in range(1, H.n + 1)
+        for j in range(i, H.n + 1)
+    }
+    if args.format == "json":
+        payload = {"basis": H.basis, "n": H.n, "entries": entries}
+        if H.nodes is not None:
+            payload["nodes"] = [str(u) for u in H.nodes.values]
+        print(json.dumps(payload, indent=1))
+        return 0
     lines = [f"basis: {H.basis}  n: {H.n}  gains: {H.nvars}"]
     if H.nodes is not None:
         lines.append(
@@ -103,24 +114,8 @@ def cmd_hermite(args) -> int:
         lines.append(
             "scaling: " + ", ".join(f"{s:.8g}" for s in H.scaling.values)
         )
-    for i in range(1, H.n + 1):
-        for j in range(i, H.n + 1):
-            lines.append(f"H({i},{j}) = {H.entry(i, j)}")
-    if args.format == "json":
-        payload = {
-            "basis": H.basis,
-            "n": H.n,
-            "entries": {
-                f"{i},{j}": str(H.entry(i, j))
-                for i in range(1, H.n + 1)
-                for j in range(i, H.n + 1)
-            },
-        }
-        if H.nodes is not None:
-            payload["nodes"] = [str(u) for u in H.nodes.values]
-        print(json.dumps(payload, indent=1))
-    else:
-        print("\n".join(lines))
+    lines += [f"H({ij}) = {e}" for ij, e in entries.items()]
+    print("\n".join(lines))
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BarrierDomainError, InputError
-from .hermite import HermiteForm, eval_terms
+from .hermite import HermiteForm
 from .polynomials import PolyInS, char_poly, vec_gain
 from .stability import roots as poly_roots
 from .systems import SystemInstance
@@ -37,21 +37,39 @@ class SofProgram:
         if self.m * self.p != self.mp:
             raise InputError("m*p must equal the gain-variable count")
         E, C = self.H.E, self.H.C.real
-        self._hc = (E, C)
-        # dH/dk_l: the monomials with k_l in them, that exponent lowered by
-        # one and the coefficient multiplied by it
-        self._dhc = []
+        n = self.H.n
+        # H, then dH/dk_l: the monomials with k_l in them, that exponent
+        # lowered by one and the coefficient multiplied by it
+        blocks = [(E, C)]
         for l in range(self.mp):
             rows = E[:, l] > 0
             El = E[rows]
             El[:, l] -= 1
-            self._dhc.append((El, C[rows] * E[rows, l, None, None]))
+            blocks.append((El, C[rows] * E[rows, l, None, None]))
+        # the blocks share most monomials: each call evaluates every
+        # distinct one once and gathers the values per block
+        index: dict[tuple, int] = {}
+        self._terms = []
+        for Eb, Cb in blocks:
+            idx = [index.setdefault(e, len(index)) for e in map(tuple, Eb.tolist())]
+            C2 = np.ascontiguousarray(Cb.reshape(len(Cb), n * n))
+            self._terms.append((np.array(idx, dtype=np.intp), C2))
+        self._E = np.array(list(index), dtype=E.dtype).reshape(len(index), self.mp)
+        self._eye = np.eye(n)
+        # H and each dG/dx_i flattened, the last row dG/dlambda = -I
+        self._stack = np.zeros((self.mp + 2, n * n))
+        self._stack[-1] = -self._eye.ravel()
 
     def h_eval(self, k) -> np.ndarray:
-        return eval_terms(*self._hc, np.asarray(k, dtype=float))
+        return self.eval_stack(k)[0].reshape(self._eye.shape)
 
-    def dh_eval(self, k, l: int) -> np.ndarray:
-        return eval_terms(*self._dhc[l], np.asarray(k, dtype=float))
+    def eval_stack(self, k) -> np.ndarray:
+        """H(k) and every dH/dk_l flattened, then -I: (mp+2, n*n)."""
+        v = (np.asarray(k, dtype=float) ** self._E).prod(axis=1)
+        out = self._stack.copy()
+        for row, (idx, C2) in zip(out, self._terms):
+            np.dot(v[idx], C2, out=row)
+        return out
 
 
 @dataclass
@@ -92,17 +110,16 @@ class SolveReport:
     k: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def constraint_eval(prog: SofProgram, x) -> tuple[np.ndarray, list[np.ndarray]]:
-    """G(x) = H(k) - lambda*I and its exact partial derivatives."""
+def constraint_eval(prog: SofProgram, x) -> tuple[np.ndarray, np.ndarray]:
+    """G(x) = H(k) - lambda*I and its exact partial derivatives, stacked
+    (mp+1, n, n) with dG/dlambda = -I last."""
     x = np.asarray(x, dtype=float)
     if x.size != prog.mp + 1:
         raise InputError(f"decision vector length {x.size}, expected {prog.mp + 1}")
     k, lam = x[:-1], x[-1]
     n = prog.H.n
-    G = prog.h_eval(k) - lam * np.eye(n)
-    grads = [prog.dh_eval(k, l) for l in range(prog.mp)]
-    grads.append(-np.eye(n))
-    return G, grads
+    S = prog.eval_stack(k).reshape(prog.mp + 2, n, n)
+    return S[0] - lam * prog._eye, S[1:]
 
 
 def _objective(prog: SofProgram, x) -> tuple[float, np.ndarray]:
@@ -140,26 +157,22 @@ def augmented_objective(
     if w.max() >= p * (1.0 - 1e-12):
         raise BarrierDomainError("iterate left the barrier domain")
     phi = _phi(w, p)
-    phip = 1.0 / (1.0 - w / p)
 
     Ut = Q.T @ U @ Q
     f, g = _objective(prog, x)
-    val = f + float(np.sum(np.diag(Ut) * phi))
+    val = f + float((Ut.diagonal() * phi).sum())
 
     # divided-difference matrix of phi on the spectrum
-    n = w.size
     dw = w[:, None] - w[None, :]
-    close = np.abs(dw) <= 1e-12 * (1.0 + np.abs(w[:, None]) + np.abs(w[None, :]))
+    aw = np.abs(w)
+    close = np.abs(dw) <= 1e-12 * (1.0 + aw[:, None] + aw[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         Gamma = (phi[:, None] - phi[None, :]) / dw
     mid = 0.5 * (w[:, None] + w[None, :])
     Gamma[close] = (1.0 / (1.0 - mid / p))[close]
 
     M = Ut * Gamma
-    grad = g.copy()
-    for i, dGi in enumerate(dG):
-        Zi = Q.T @ (-dGi) @ Q
-        grad[i] += float(np.sum(M * Zi))
+    grad = g + np.sum(M * (Q.T @ (-dG) @ Q), axis=(1, 2))
 
     if k_bound is not None and prog.mp > 0:
         k = np.asarray(x, dtype=float)[:-1]
@@ -254,11 +267,11 @@ def _fd_hessian(fun_grad, x, g):
     return 0.5 * (H + H.T)
 
 
-def _newton_inner(fun_grad, x0, tol, max_iter, cfg: SolveConfig):
-    """Damped Newton refinement; the Hessian is finite-differenced from the
-    analytic gradient and modified to be positive definite."""
+def _newton_inner(fun_grad, x0, f, g, tol, max_iter, cfg: SolveConfig):
+    """Damped Newton refinement from x0 with f, g = fun_grad(x0) given; the
+    Hessian is finite-differenced from the analytic gradient and modified
+    to be positive definite."""
     x = np.asarray(x0, dtype=float)
-    f, g = fun_grad(x)
     iters = trials = 0
     failed = False
     for _ in range(max_iter):
@@ -323,8 +336,10 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         fun = lambda xx: augmented_objective(
             prog, xx, U, p, k_bound=cfg.k_bound, u_box=u_box
         )
-        x, _, g, it1, tr1, failed1 = _bfgs_inner(fun, x, cfg.tol_inner, bfgs_cap, cfg)
-        x, _, g, it2, tr2, failed2 = _newton_inner(fun, x, cfg.tol_inner, newton_cap, cfg)
+        x, f, g, it1, tr1, failed1 = _bfgs_inner(fun, x, cfg.tol_inner, bfgs_cap, cfg)
+        x, _, g, it2, tr2, failed2 = _newton_inner(
+            fun, x, f, g, cfg.tol_inner, newton_cap, cfg
+        )
         inner_total += it1 + it2
         ls_total += tr1 + tr2
         failed = failed1 and (failed2 or it2 == 0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hermitesof import solver
 from hermitesof.benchmarks import registry
 from hermitesof.errors import BarrierDomainError, InputError
 from hermitesof.hermite import HermiteForm, hermite_power, scaled_hermite
@@ -10,14 +11,18 @@ from hermitesof.polynomials import MultiPoly, char_poly
 from hermitesof.solver import (
     SofProgram,
     SolveConfig,
+    _newton_inner,
+    _objective,
+    _phi,
     augmented_objective,
     constraint_eval,
     solve_sof,
     verify_solution,
 )
-from hermitesof.stability import build_target
+from hermitesof.stability import TargetSpec, build_target, roots
 
 from conftest import relerr
+from test_hermite import _planted_plant
 
 
 REG = registry()
@@ -63,6 +68,12 @@ def _ac4_scaled_program():
     target = build_target([], REG["targets"]["AC4_shifted"])
     H = scaled_hermite(AC4, target, part="re")
     return SofProgram(H, mu=1e-5, m=1, p=2)
+
+
+def _k_squared_program():
+    # H = [[-1 - k^2]] can never reach positive definiteness
+    entries = [[MultiPoly(1, {(0,): -1.0, (2,): -1.0})]]
+    return SofProgram(HermiteForm.from_entries("power", entries, 1), mu=0.0, m=1, p=1)
 
 
 # -- derivatives ------------------------------------------------------------
@@ -142,6 +153,95 @@ def test_augmented_objective_domain_error():
         augmented_objective(prog, np.array([0.0]), np.eye(2), 0.001)
 
 
+def _reference_constraint_eval(prog, x):
+    """G and dG/dx by one contraction per block, each over its own monomials."""
+    E, C = prog.H.E, prog.H.C.real
+    k, lam = x[:-1], x[-1]
+    n = prog.H.n
+    G = np.tensordot(np.prod(k**E, axis=1), C, axes=1) - lam * np.eye(n)
+    grads = []
+    for l in range(prog.mp):
+        rows = E[:, l] > 0
+        El = E[rows]
+        El[:, l] -= 1
+        Cl = C[rows] * E[rows, l, None, None]
+        grads.append(np.tensordot(np.prod(k**El, axis=1), Cl, axes=1))
+    return G, grads + [-np.eye(n)]
+
+
+def _reference_augmented_objective(prog, x, U, p, k_bound, u_box):
+    """augmented_objective with one congruence and one sum per partial."""
+    G, dG = _reference_constraint_eval(prog, x)
+    w, Q = np.linalg.eigh(-G)
+    phi = _phi(w, p)
+    Ut = Q.T @ U @ Q
+    f, g = _objective(prog, x)
+    val = f + float(np.sum(np.diag(Ut) * phi))
+    dw = w[:, None] - w[None, :]
+    close = np.abs(dw) <= 1e-12 * (1.0 + np.abs(w[:, None]) + np.abs(w[None, :]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Gamma = (phi[:, None] - phi[None, :]) / dw
+    mid = 0.5 * (w[:, None] + w[None, :])
+    Gamma[close] = (1.0 / (1.0 - mid / p))[close]
+    M = Ut * Gamma
+    grad = g.copy()
+    for i, dGi in enumerate(dG):
+        Zi = Q.T @ (-dGi) @ Q
+        grad[i] += float(np.sum(M * Zi))
+    k = x[:-1]
+    z_lo, z_hi = -k_bound - k, k - k_bound
+    val += float(u_box[0] @ _phi(z_lo, p) + u_box[1] @ _phi(z_hi, p))
+    grad[:-1] += u_box[1] / (1.0 - z_hi / p) - u_box[0] / (1.0 - z_lo / p)
+    return val, grad
+
+
+def test_shared_monomial_pass_is_bitwise_equal_to_per_block_path(rng):
+    mirror = TargetSpec(mode="mirror-shift", shift=-0.5)
+    plant = _planted_plant(2, 4, 2, 2)
+    q_plant = char_poly(plant)
+    k1_only = MultiPoly(2, {(0, 0): 1.0, (2, 0): 1.0})
+    entries = [[k1_only, MultiPoly(2, {(1, 0): 1.0})],
+               [MultiPoly(2, {(1, 0): 1.0}), MultiPoly(2, {(0, 0): 2.0, (1, 0): -1.0})]]
+    programs = [
+        SofProgram(hermite_power(char_poly(NN1)), mu=1e-4, m=1, p=2),
+        _ac4_scaled_program(),
+        SofProgram(
+            scaled_hermite(REG["polys"]["NN6"].q,
+                           build_target([], REG["targets"]["NN6_sigma1"]), part="im"),
+            mu=1e-5, m=2, p=2,
+        ),
+        SofProgram(
+            scaled_hermite(q_plant, build_target(roots(q_plant.at_gains(np.zeros(4))), mirror),
+                           part="re"),
+            mu=1e-5, m=2, p=2,
+        ),
+        _k_squared_program(),
+        # k2 does not occur: its derivative block is empty
+        SofProgram(HermiteForm.from_entries("power", entries, 2), mu=0.1, m=1, p=2),
+    ]
+    p = 0.05
+    for prog in programs:
+        n, mp = prog.H.n, prog.mp
+        for t in range(20):
+            k = rng.standard_normal(mp)
+            # alternate a deep interior point and one near the barrier edge
+            lam = float(np.linalg.eigvalsh(prog.h_eval(k)).min()) + (0.5 * p if t % 2 else -1.0)
+            x = np.append(k, lam)
+            G, grads = constraint_eval(prog, x)
+            G_ref, grads_ref = _reference_constraint_eval(prog, x)
+            assert np.array_equal(G, G_ref)
+            assert len(grads) == len(grads_ref) == mp + 1
+            for dG, dG_ref in zip(grads, grads_ref):
+                assert np.array_equal(dG, dG_ref)
+            A = rng.standard_normal((n, n))
+            U = (A @ A.T + np.eye(n)) / n
+            u_box = rng.uniform(0.5, 2.0, (2, mp))
+            val, grad = augmented_objective(prog, x, U, p, k_bound=1e4, u_box=u_box)
+            val_ref, grad_ref = _reference_augmented_objective(prog, x, U, p, 1e4, u_box)
+            assert np.array_equal(val, val_ref)
+            assert np.array_equal(grad, grad_ref)
+
+
 # -- end-to-end --------------------------------------------------------------
 
 
@@ -177,10 +277,7 @@ def test_counters_and_feasibility_invariants():
 
 
 def test_solve_infeasible_program():
-    # H = [[-1 - k^2]] can never reach positive definiteness
-    entries = [[MultiPoly(1, {(0,): -1.0, (2,): -1.0})]]
-    H = HermiteForm.from_entries("power", entries, 1)
-    report = solve_sof(SofProgram(H, mu=0.0, m=1, p=1), SolveConfig(k0=[0.5]))
+    report = solve_sof(_k_squared_program(), SolveConfig(k0=[0.5]))
     assert report.status == "infeasible-stall"
     assert report.lam <= 1e-9
 
@@ -200,3 +297,33 @@ def test_verify_solution_after_solve():
     assert stable
     assert margin < 0
     assert np.max(poles.real) < 0
+
+
+def test_newton_phase_reuses_the_given_evaluation():
+    calls = []
+
+    def fun_grad(x):
+        calls.append(x)
+        return 0.0, np.zeros_like(x)
+
+    x0 = np.array([0.3, -0.2])
+    x, f, g, iters, trials, failed = _newton_inner(
+        fun_grad, x0, 1.5, np.array([1e-9, 0.0]), 1e-6, 40, SolveConfig()
+    )
+    assert calls == []
+    assert np.array_equal(x, x0) and f == 1.5 and (iters, trials, failed) == (0, 0, False)
+
+
+def test_solve_evaluates_once_less_per_outer_iteration(monkeypatch):
+    calls = []
+    evaluate = solver.augmented_objective
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "augmented_objective", counted)
+    report = solve_sof(_k_squared_program(), SolveConfig(k0=[0.5]))
+    # 264 evaluations when each Newton phase re-evaluated the point where
+    # its BFGS phase stopped
+    assert len(calls) == 264 - report.outer_iters
