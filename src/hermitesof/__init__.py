@@ -25,7 +25,6 @@ from .hermite import (
     HermiteForm,
     NodeSet,
     ScalingDiag,
-    bezoutian,
     cond_frobenius,
     congruence_check,
     hermite_lagrange,
@@ -39,7 +38,6 @@ from .polynomials import (
     PolyInS,
     ReImPair,
     char_poly,
-    differentiate,
     optimal_rho,
     split_re_im,
     vec_gain,

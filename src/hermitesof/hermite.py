@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, InputError, UnsupportedNodeError
-from .polynomials import MultiPoly, PolyInS, char_poly, split_re_im
+from .polynomials import MultiPoly, PolyInS, char_poly
 from .systems import SystemInstance
 
 _NODE_TOL = 1e-9
@@ -91,9 +91,6 @@ class NodeSet:
     def all_real(self) -> bool:
         return all(k == "real" for k in self.kinds)
 
-    def distinct(self, tol: float = _NODE_TOL) -> bool:
-        return all(r == 0 for r in self.rep_index)
-
     def blocks(self) -> list[tuple[int, int]]:
         """(start, size) block pattern: 1x1 for real nodes, 2x2 for pairs."""
         out = []
@@ -131,27 +128,6 @@ class HermiteForm:
     C: np.ndarray
     nodes: NodeSet | None = None
     scaling: ScalingDiag | None = None
-
-    @classmethod
-    def from_entries(
-        cls, basis: str, entries: Sequence[Sequence[MultiPoly]], nvars: int
-    ) -> "HermiteForm":
-        """Pack a square matrix of polynomials into the monomial tensor."""
-        n = len(entries)
-        monos = sorted(
-            {m for row in entries for e in row for m in e.terms},
-            key=lambda m: (sum(m), m),
-        )
-        index = {m: t for t, m in enumerate(monos)}
-        E = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
-        C = np.zeros((len(monos), n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                for m, c in entries[i][j].terms.items():
-                    C[index[m], i, j] = c
-        if not C.imag.any():
-            C = C.real.copy()
-        return cls(basis=basis, E=E, C=C)
 
     @property
     def nvars(self) -> int:
@@ -201,46 +177,55 @@ def eval_terms(E: np.ndarray, C: np.ndarray, k: np.ndarray) -> np.ndarray:
 # -- power basis ---------------------------------------------------------
 
 
-def bezoutian(a: PolyInS, b: PolyInS, n: int | None = None) -> HermiteForm:
-    """Bezoutian matrix of a and b: the n-by-n quadratic form of
-    (a(u)b(v) - a(v)b(u)) / (u - v), built coefficientwise."""
-    if n is None:
-        n = max(a.degree_actual(), b.degree_actual())
-    if n < 1:
-        raise DegenerateInputError("both polynomials are degenerate")
-    nv = max(a.nvars, b.nvars)
-    zero = MultiPoly(nv)
-
-    def coeff(p: PolyInS, i: int) -> MultiPoly:
-        if i > p.n:
-            return zero
-        c = p.coeffs[i]
-        if c.nvars == nv:
-            return c
-        # lift to the common gain-variable count by zero-padding exponents
-        return MultiPoly(nv, {m + (0,) * (nv - len(m)): v for m, v in c.terms.items()})
-
-    ac = [coeff(a, i) for i in range(n + 1)]
-    bc = [coeff(b, i) for i in range(n + 1)]
-
-    entries = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = zero
-            for t in range(min(i, n - 1 - j) + 1):
-                acc = acc + ac[j + 1 + t] * bc[i - t] - ac[i - t] * bc[j + 1 + t]
-            entries[i][j] = acc
-            entries[j][i] = acc
-    return HermiteForm.from_entries("power", entries, nv)
-
-
 def hermite_power(q: PolyInS) -> HermiteForm:
-    """Hermite matrix of q in the power basis."""
+    """Hermite matrix of q in the power basis: the Bezoutian of the
+    imaginary part a and the real part b of q(j*u), the n-by-n quadratic
+    form of (a(u)b(v) - a(v)b(u)) / (u - v), built from q's coefficient
+    matrix over its monomials.
+
+    Entry (i, j) accumulates a_{j+1+t} b_{i-t} - a_{i-t} b_{j+1+t} over t;
+    each product sums its monomial pairs first-factor-major.  The order
+    fixes the rounding, and the solver's outcomes follow the last ulp.
+    """
     n = q.degree_actual()
     if n < 1:
         raise DegenerateInputError("degree must be at least 1")
-    pair = split_re_im(q)
-    return bezoutian(pair.a, pair.b, n=n)
+    nv = q.nvars
+    monos = list(dict.fromkeys(m for c in q.coeffs[: n + 1] for m in c.terms))
+    Q = np.array([[c.terms.get(m, 0.0) for m in monos] for c in q.coeffs[: n + 1]])
+    # q(j*u) = b(u) + j*a(u): even powers go to b, odd ones to a, signed
+    Q = Q * (-1.0) ** (np.arange(n + 1) // 2)[:, None]
+    a, b = np.zeros_like(Q), np.zeros_like(Q)
+    a[1::2], b[0::2] = Q[1::2], Q[0::2]
+
+    # the monomial of every pair (t1, t2), t1-major, as a row of E
+    Eq = np.array(monos, dtype=np.int64).reshape(len(monos), nv)
+    pairs = (Eq[:, None] + Eq[None, :]).reshape(len(Eq) ** 2, nv)
+    keys = sorted(set(map(tuple, pairs.tolist())), key=lambda m: (sum(m), m))
+    E = np.array(keys, dtype=np.int64).reshape(len(keys), nv)
+    index = {m: t for t, m in enumerate(map(tuple, E.tolist()))}
+    pidx = np.array([index[m] for m in map(tuple, pairs.tolist())], dtype=np.intp)
+
+    def product(x, y):
+        # per row: sum over monomial pairs of x[t1] * y[t2]
+        out = np.zeros((len(x), len(E)), dtype=Q.dtype)
+        prods = (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
+        np.add.at(out, (np.arange(len(x))[:, None], pidx), prods)
+        return out
+
+    ii, jj = np.triu_indices(n)
+    acc = np.zeros((len(ii), len(E)), dtype=Q.dtype)
+    for t in range((n + 1) // 2):
+        sel = np.flatnonzero(t <= np.minimum(ii, n - 1 - jj))
+        i, j = ii[sel], jj[sel]
+        acc[sel] = acc[sel] + product(a[j + 1 + t], b[i - t]) - product(a[i - t], b[j + 1 + t])
+    C = np.zeros((len(E), n, n), dtype=Q.dtype)
+    C[:, ii, jj] = acc.T
+    C[:, jj, ii] = acc.T
+    if np.iscomplexobj(C) and not C.imag.any():
+        C = C.real.copy()
+    keep = acc.any(axis=0)
+    return HermiteForm(basis="power", E=E[keep], C=C[keep])
 
 
 # -- Lagrange basis ------------------------------------------------------

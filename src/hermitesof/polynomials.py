@@ -9,6 +9,7 @@ of s.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Mapping, Sequence
 
@@ -328,10 +329,6 @@ def split_re_im(q: PolyInS) -> ReImPair:
     return ReImPair(PolyInS(za, nvars=nv), PolyInS(zb, nvars=nv))
 
 
-def differentiate(p: PolyInS, order: int = 1) -> PolyInS:
-    return p.diff(order)
-
-
 def optimal_rho(q: PolyInS) -> float:
     """Frequency scaling making |constant| and |leading| coefficients equal after
     substituting rho*s for s and renormalizing to monic."""
@@ -350,21 +347,33 @@ def optimal_rho(q: PolyInS) -> float:
 # -- characteristic polynomial ------------------------------------------
 
 
-def gain_matrix_symbolic(m: int, p: int) -> list[list[MultiPoly]]:
-    """Symbolic m-by-p gain with column-stacked variable numbering:
-    entry (i, j) is gain variable number j*m + i (0-based)."""
-    nv = m * p
-    return [
-        [MultiPoly.variable(j * m + i, nv) for j in range(p)]
-        for i in range(m)
-    ]
+def gain_support(m: int, p: int) -> np.ndarray:
+    """Exponent rows of the monomials det(sI - A - B K C) can contain.
+
+    Gain entry (a, b) is variable number b*m + a (column stacking).  By
+    Cauchy-Binet every coefficient is a sum of minors of K, so a monomial
+    is a squarefree product of gains whose (row, column) pairs form a
+    partial permutation; its degree is at most min(m, p).  Rows come by
+    degree, then in combination order over the gains taken row a outer,
+    column b inner, the constant first.
+    """
+    gains = [(a, b) for a in range(m) for b in range(p)]
+    sets = [()]
+    for d in range(1, min(m, p) + 1):
+        sets += [c for c in itertools.combinations(gains, d)
+                 if len({a for a, _ in c}) == len({b for _, b in c}) == d]
+    E = np.zeros((len(sets), m * p), dtype=np.int64)
+    for row, combo in zip(E, sets):
+        row[[b * m + a for a, b in combo]] = 1
+    return E
 
 
 def char_poly(sys) -> PolyInS:
     """Characteristic polynomial det(sI - A - B K C) with symbolic K.
 
-    Uses the Faddeev-LeVerrier trace recurrence over MultiPoly arithmetic,
-    which needs only multiplication and addition of the closed-loop matrix.
+    Runs the Faddeev-LeVerrier trace recurrence on float arrays of shape
+    (n, n, S) that hold one coefficient per support monomial (see
+    `gain_support`), so q(k) carries no terms outside that support.
     """
     A = np.asarray(sys.A, dtype=float)
     B = np.asarray(sys.B, dtype=float)
@@ -378,58 +387,47 @@ def char_poly(sys) -> PolyInS:
         raise InputError("C must be p-by-n")
     m, p = B.shape[1], C.shape[0]
     nv = m * p
+    E = gain_support(m, p)
+    index = {e: s for s, e in enumerate(map(tuple, E.tolist()))}
 
-    K = gain_matrix_symbolic(m, p)
-    zero = MultiPoly(nv)
+    # M = A + B K C: the constant, then gain (a, b) at support row
+    # 1 + a*p + b.  Multiplying by M, each term of M maps the support rows
+    # that contain its gain to those rows with the gain removed.  Every
+    # product sums its terms per monomial in this order, and the kk and
+    # trace sums run in index order: the order fixes the rounding, and the
+    # solver's outcomes follow the last ulp.
+    M = np.zeros((n, n, len(E)))
+    M[:, :, 0] = A
+    M[:, :, 1 : nv + 1] = (B[:, None, :, None] * C.T[None, :, None, :]).reshape(n, n, nv)
+    terms = [(0, slice(None), slice(None))]
+    for t in range(1, nv + 1):
+        tgt = np.flatnonzero(E[:, E[t].argmax()])
+        src = [index[tuple(e)] for e in (E[tgt] - E[t]).tolist()]
+        terms.append((t, tgt, np.array(src, dtype=np.intp)))
 
-    # M = A + B K C with MultiPoly entries
-    M = [[MultiPoly.constant(A[i, j], nv) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = M[i][j]
-            for a in range(m):
-                if B[i, a] == 0.0:
-                    continue
-                for b in range(p):
-                    if C[b, j] == 0.0:
-                        continue
-                    acc = acc + K[a][b] * (B[i, a] * C[b, j])
-            M[i][j] = acc
-
-    def matmul(X, Y):
-        out = [[zero for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for kk in range(n):
-                x = X[i][kk]
-                if x.is_zero:
-                    continue
-                for j in range(n):
-                    if Y[kk][j].is_zero:
-                        continue
-                    out[i][j] = out[i][j] + x * Y[kk][j]
-        return out
-
-    def trace(X):
-        acc = zero
-        for i in range(n):
-            acc = acc + X[i][i]
-        return acc
-
-    # Faddeev-LeVerrier: c_n = 1, N_1 = M, c_{n-k} = -tr(M N_k)/k with
-    # N_{k+1} = M N_k + c_{n-k} I  (N_1 = I convention folded in).
-    coeffs = [zero for _ in range(n + 1)]
-    coeffs[n] = MultiPoly.constant(1.0, nv)
-    Nk = [[MultiPoly.constant(1.0 if i == j else 0.0, nv) for j in range(n)] for i in range(n)]
+    # c_n = 1, c_{n-k} = -tr(M N_k)/k, N_{k+1} = M N_k + c_{n-k} I, N_1 = I
+    coeffs = np.zeros((n + 1, len(E)))
+    coeffs[n, 0] = 1.0
+    N = np.zeros((n, n, len(E)))
+    N[range(n), range(n), 0] = 1.0
     for k in range(1, n + 1):
-        MN = matmul(M, Nk)
-        ck = trace(MN) * (-1.0 / k)
-        coeffs[n - k] = ck
-        if k < n:
-            Nk = [
-                [MN[i][j] + (ck if i == j else zero) for j in range(n)]
-                for i in range(n)
-            ]
-    return PolyInS(coeffs, nvars=nv)
+        # P[kk] = M[:, kk] * N[kk], the (i, j) products for one kk
+        P = np.zeros((n, n, n, len(E)))
+        for t, tgt, src in terms:
+            P[:, :, :, tgt] += M[:, :, t].T[:, :, None, None] * N[:, None, :, src]
+        MN = P[0]
+        for kk in range(1, n):
+            MN = MN + P[kk]
+        tr = MN[0, 0]
+        for i in range(1, n):
+            tr = tr + MN[i, i]
+        coeffs[n - k] = tr * (-1.0 / k)
+        N = MN
+        N[range(n), range(n)] += coeffs[n - k]
+    monos = [tuple(e) for e in E.tolist()]
+    return PolyInS(
+        [MultiPoly(nv, dict(zip(monos, c))) for c in coeffs], nvars=nv
+    )
 
 
 def vec_gain(K) -> list[float]:

@@ -138,6 +138,12 @@ def _phi(z, p):
     return -p * np.log1p(-z / p)
 
 
+def _phi_prime(z, p):
+    """phi'(z) = 1 / (1 - z/p), clipped to [1e-12, 1e12] for the
+    multiplier updates."""
+    return np.clip(1.0 / np.clip(1.0 - z / p, 1e-12, None), 1e-12, 1e12)
+
+
 def augmented_objective(
     prog: SofProgram,
     x,
@@ -187,6 +193,27 @@ def augmented_objective(
     return val, grad
 
 
+def _armijo(fun_grad, x, f, d, slope, cfg: SolveConfig):
+    """Backtracking line search along d from x, where f = fun_grad(x)[0]
+    and slope is the directional derivative; points outside the barrier
+    domain count as trials and are backtracked from.
+
+    Returns (step, f, g, trials) at the accepted point, with f and g None
+    when no step passes the Armijo test within cfg.max_linesearch trials.
+    """
+    step = 1.0
+    for trials in range(1, cfg.max_linesearch + 1):
+        try:
+            f_try, g_try = fun_grad(x + step * d)
+        except BarrierDomainError:
+            step *= cfg.backtrack
+            continue
+        if f_try <= f + cfg.armijo_c * step * slope:
+            return step, f_try, g_try, trials
+        step *= cfg.backtrack
+    return step, None, None, cfg.max_linesearch
+
+
 def _bfgs_inner(fun_grad, x0, tol, max_iter, cfg: SolveConfig):
     """Quasi-Newton minimization with Armijo backtracking.
 
@@ -208,25 +235,10 @@ def _bfgs_inner(fun_grad, x0, tol, max_iter, cfg: SolveConfig):
             Hinv = np.eye(nvar)
             d = -g
             slope = float(g @ d)
-        step = 1.0
-        accepted = False
-        f_new = f
-        g_new = g
-        for _ in range(cfg.max_linesearch):
-            trials += 1
-            x_try = x + step * d
-            try:
-                f_try, g_try = fun_grad(x_try)
-            except BarrierDomainError:
-                step *= cfg.backtrack
-                continue
-            if f_try <= f + cfg.armijo_c * step * slope:
-                accepted = True
-                f_new, g_new = f_try, g_try
-                break
-            step *= cfg.backtrack
+        step, f_new, g_new, tries = _armijo(fun_grad, x, f, d, slope, cfg)
+        trials += tries
         iters += 1
-        if not accepted:
+        if f_new is None:
             failed = True
             break
         s = step * d
@@ -285,25 +297,14 @@ def _newton_inner(fun_grad, x0, f, g, tol, max_iter, cfg: SolveConfig):
         if slope >= 0:
             d = -g
             slope = float(g @ d)
-        step = 1.0
-        accepted = False
-        for _ in range(cfg.max_linesearch):
-            trials += 1
-            try:
-                ft, gt = fun_grad(x + step * d)
-            except BarrierDomainError:
-                step *= cfg.backtrack
-                continue
-            if ft <= f + cfg.armijo_c * step * slope:
-                accepted = True
-                break
-            step *= cfg.backtrack
+        step, f_new, g_new, tries = _armijo(fun_grad, x, f, d, slope, cfg)
+        trials += tries
         iters += 1
-        if not accepted:
+        if f_new is None:
             failed = True
             break
         x = x + step * d
-        f, g = ft, gt
+        f, g = f_new, g_new
     return x, f, g, iters, trials, failed
 
 
@@ -353,14 +354,13 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
             cfg.trace.append((float(lam), float(-w.max()), float(f)))
 
         # spectral multiplier update: congruence with phi'(Z)^(1/2)
-        phip = np.clip(1.0 / np.clip(1.0 - w / p, 1e-12, None), 1e-12, 1e12)
-        W = Q @ np.diag(np.sqrt(phip)) @ Q.T
+        W = Q @ np.diag(np.sqrt(_phi_prime(w, p))) @ Q.T
         U = W @ U @ W
         U = 0.5 * (U + U.T)
         if mp > 0:
             k = x[:-1]
             z = np.vstack([-cfg.k_bound - k, k - cfg.k_bound])
-            u_box = u_box * np.clip(1.0 / np.clip(1.0 - z / p, 1e-12, None), 1e-12, 1e12)
+            u_box = u_box * _phi_prime(z, p)
 
         gnorm = float(np.linalg.norm(g))
         if (
@@ -368,9 +368,10 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
             and abs(f - prev_f) <= cfg.tol_outer * (1.0 + abs(f))
             and viol <= cfg.tol_feas
         ):
-            # a stationary point with lambda pinned at zero is a local
-            # solution without strict feasibility, not a stabilizing gain
-            status = "converged" if lam > 1e-9 else "infeasible-stall"
+            # a stationary point without strict feasibility, min eig H(k) =
+            # lam - max eig(-G) <= 0, is not a stabilizing gain: the
+            # violation tolerance lets lam exceed min eig H(k) by tol_feas
+            status = "converged" if lam - w.max() > 1e-9 else "infeasible-stall"
             break
 
         if failed:

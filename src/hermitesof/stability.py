@@ -11,6 +11,7 @@ from .hermite import NodeSet
 from .polynomials import PolyInS, ReImPair, split_re_im
 
 _MARGINAL = 1e-9
+_REAL_TOL = 1e-6
 
 
 def roots(q: PolyInS) -> np.ndarray:
@@ -96,7 +97,10 @@ def build_target(open_loop_poles, spec: TargetSpec) -> PolyInS:
 
     Mirror-shift keeps stable poles and moves every unstable or marginal pole
     to the left half-plane: real poles to the shift value, complex pairs by
-    replacing the real part with the shift (imaginary part preserved).
+    replacing the real part with the shift (imaginary part preserved).  A
+    stable pole within _REAL_TOL of the real axis is kept as a real pole, so
+    a repeated real pole that the root finder splits into a slightly
+    non-conjugate pair still yields a real target.
     """
     if spec.mode == "explicit-roots":
         if not spec.roots:
@@ -108,7 +112,8 @@ def build_target(open_loop_poles, spec: TargetSpec) -> PolyInS:
     out = []
     for pole in poles:
         if pole.real < -_MARGINAL:
-            out.append(pole)
+            near_real = abs(pole.imag) <= _REAL_TOL * (1.0 + abs(pole))
+            out.append(complex(pole.real, 0.0) if near_real else pole)
         elif abs(pole.imag) <= _MARGINAL * (1.0 + abs(pole)):
             out.append(complex(spec.shift, 0.0))
         else:

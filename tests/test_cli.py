@@ -87,3 +87,19 @@ def test_solve_even_degree_instance_default_part(capsys, tmp_path):
     main(["solve", "--fixture", str(path), "--format", "csv"])
     row = capsys.readouterr().out.splitlines()[1]
     assert not row.split(",")[9].startswith("error:"), row
+
+
+def test_solve_repeated_pole_instance_mirror_shift(capsys, tmp_path):
+    # A is the companion matrix of (s - 1)^2 (s + 1)^2; the root finder
+    # returns each double pole as a pair with tiny, non-conjugate imaginary
+    # parts, and the mirror-shift target must still be a real polynomial
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps({
+        "name": "double",
+        "A": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 2, 0]],
+        "B": [[0], [0], [0], [1]],
+        "C": [[1, 0, 0, 0], [0, 1, 0, 0]],
+    }))
+    main(["solve", "--instance", str(path), "--format", "csv"])
+    row = capsys.readouterr().out.splitlines()[1]
+    assert not row.split(",")[9].startswith("error:"), row

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermitesof.benchmarks import NN6_ACHIEVABLE_GAIN, NN6_ACHIEVABLE_NODES, registry
 from hermitesof.errors import DegenerateInputError, InputError, UnsupportedNodeError
 from hermitesof.hermite import (
     NodeSet,
-    bezoutian,
     cond_frobenius,
     congruence_check,
     hermite_lagrange,
@@ -16,11 +16,11 @@ from hermitesof.hermite import (
     scaled_hermite,
     scaling_from_numeric,
 )
-from hermitesof.polynomials import MultiPoly, PolyInS, char_poly, differentiate, split_re_im
+from hermitesof.polynomials import MultiPoly, PolyInS, char_poly, split_re_im
 from hermitesof.stability import TargetSpec, build_target, nodes_from_target, roots
 from hermitesof.systems import SystemInstance
 
-from conftest import random_numeric_poly, random_stable_poly, relerr
+from conftest import random_numeric_poly, random_stable_poly, relerr, symbolic_bezoutian
 
 
 REG = registry()
@@ -45,9 +45,7 @@ def _mono(nv, **powers):
 
 
 def test_bezoutian_nn1_entries():
-    q = char_poly(NN1)
-    pair = split_re_im(q)
-    H = bezoutian(pair.a, pair.b, n=3)
+    H = hermite_power(char_poly(NN1))
     # (1,1) = q0*q1 = (k2 - 5k1 - 13) k2
     k1 = MultiPoly.variable(0, 2)
     k2 = MultiPoly.variable(1, 2)
@@ -56,9 +54,8 @@ def test_bezoutian_nn1_entries():
 
 
 def test_bezoutian_degree_one():
-    a = PolyInS.from_numeric([0.0, 1.0])  # u
-    b = PolyInS.from_numeric([1.0])
-    H = bezoutian(a, b, n=1)
+    # q(s) = s + 1: q(j*u) = 1 + j*u, so a = u and b = 1
+    H = hermite_power(PolyInS.from_numeric([1.0, 1.0]))
     assert H.n == 1
     assert H.entry(1, 1).constant_value() == 1.0
 
@@ -66,7 +63,18 @@ def test_bezoutian_degree_one():
 def test_bezoutian_rejects_degenerate_input():
     z = PolyInS.from_numeric([0.0])
     with pytest.raises(DegenerateInputError):
-        bezoutian(z, z)
+        hermite_power(z)
+
+
+def test_hermite_power_equals_symbolic_bezoutian():
+    # bit for bit, including the monomial order of the tensor
+    qs = [char_poly(NN1), REG["polys"]["AC4"].q, NN6, AC4_OL, NN5_OL]
+    for seed, shape in enumerate([(4, 1, 2), (4, 2, 1), (5, 1, 3), (6, 2, 1), (4, 2, 2)]):
+        qs.append(char_poly(_planted_plant(seed, *shape)))
+    for q in qs:
+        H, ref = hermite_power(q), symbolic_bezoutian(q)
+        assert np.array_equal(H.E, ref.E)
+        assert H.C.dtype == ref.C.dtype and H.C.tobytes() == ref.C.tobytes()
 
 
 AC4_HP = np.array(
@@ -191,7 +199,7 @@ def test_hermite_lagrange_triple_node_formulas(rng):
     pair = split_re_im(q)
 
     def d(p, r):
-        return differentiate(p, r).eval(x) if r > 0 else p.eval(x)
+        return p.diff(r).eval(x) if r > 0 else p.eval(x)
 
     a = [d(pair.a, r) for r in range(6)]
     b = [d(pair.b, r) for r in range(6)]
@@ -463,3 +471,25 @@ def test_hermite_pd_iff_hurwitz(rng):
         assert pd == (margin < 0)
         checked += 1
     assert checked >= 150
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 6), st.integers(1, 2), st.integers(1, 2), st.integers(0, 2**32 - 1)
+)
+def test_hermite_pd_iff_closed_loop_hurwitz(n, m, p, seed):
+    # H(k) from the array-built q(k), against eig(A + B K C), at gains
+    # around a stabilizing one and at random gains
+    plant = _planted_plant(seed, n, m, p)
+    H = hermite_power(char_poly(plant))
+    rng = np.random.default_rng(seed)
+    for shape in [(n, n), (n, m), (p, n)]:
+        rng.standard_normal(shape)
+    Kstar = rng.standard_normal((m, p))  # A + B Kstar C is Hurwitz
+    for scale, centre in [(0.1, Kstar), (1.0, np.zeros((m, p)))] * 3:
+        K = centre + scale * rng.standard_normal((m, p))
+        margin = float(np.linalg.eigvals(plant.A + plant.B @ K @ plant.C).real.max())
+        if abs(margin) < 1e-3:
+            continue
+        w = np.linalg.eigvalsh(H.eval_at(K.flatten(order="F")))
+        assert (w.min() > 0) == (margin < 0), (K, margin, w)

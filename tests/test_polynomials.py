@@ -11,14 +11,14 @@ from hermitesof.polynomials import (
     MultiPoly,
     PolyInS,
     char_poly,
-    differentiate,
     optimal_rho,
     split_re_im,
     vec_gain,
 )
 from hermitesof.systems import SystemInstance
 
-from conftest import random_numeric_poly, relerr
+from conftest import random_numeric_poly, relerr, symbolic_char_poly
+from test_hermite import _planted_plant
 
 
 NV = 3
@@ -136,6 +136,52 @@ def test_char_poly_no_input_is_gain_free(rng):
         assert abs(c.constant_value() - ref[i]) <= 1e-9 * (1.0 + abs(ref[i]))
 
 
+def _on_support(mono, m):
+    """Multi-affine, with the gains' (row, column) pairs a partial permutation."""
+    if max(mono, default=0) > 1:
+        return False
+    pairs = [(v % m, v // m) for v, e in enumerate(mono) if e]
+    return len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1)
+)
+def test_char_poly_support_is_multi_affine(n, m, p, seed):
+    rng = np.random.default_rng(seed)
+    sys = SystemInstance(
+        name="rand",
+        A=rng.standard_normal((n, n)),
+        B=rng.standard_normal((n, m)),
+        C=rng.standard_normal((p, n)),
+    )
+    q = char_poly(sys)
+    for c in q.coeffs:
+        for mono in c.terms:
+            assert _on_support(mono, m), mono
+            assert sum(mono) <= min(m, p, n), mono
+
+
+def test_char_poly_equals_symbolic_reference_on_support():
+    # the symbolic recurrence reaches the same support coefficients bit for
+    # bit; everything else it produces is rounding residue
+    plants = [_nn1()] + [
+        _planted_plant(seed, *shape)
+        for seed, shape in enumerate([(4, 1, 2), (4, 2, 1), (4, 2, 2), (5, 1, 3), (6, 2, 2)])
+    ]
+    for sys in plants:
+        q, ref = char_poly(sys), symbolic_char_poly(sys)
+        for c, r in zip(q.coeffs, ref.coeffs):
+            on = {mono: v for mono, v in r.terms.items() if _on_support(mono, sys.m)}
+            assert c.terms == on
+            assert list(c.terms) == list(on)
+            scale = max(abs(v) for v in r.terms.values())
+            for mono, v in r.terms.items():
+                if mono not in on:
+                    assert abs(v) <= 1e-12 * scale, mono
+
+
 def test_system_dimension_mismatch():
     with pytest.raises(InputError):
         SystemInstance(
@@ -189,7 +235,7 @@ def test_eval_at_root():
 def test_differentiate_power_rule():
     q = char_poly(_nn1())
     a = split_re_im(q).a
-    da = differentiate(a)  # -3u^2 + q1
+    da = a.diff()  # -3u^2 + q1
     assert da.coeffs[2] == MultiPoly.constant(-3.0, 2)
     assert da.coeffs[0] == q.coeffs[1]
     assert abs(da.at_gains([0.0, 0.0]).eval(0.0) - (-13.0)) <= 1e-12
@@ -197,7 +243,7 @@ def test_differentiate_power_rule():
 
 def test_differentiate_beyond_degree():
     p = PolyInS.from_numeric([1.0, 2.0, 3.0])
-    d3 = differentiate(p, order=3)
+    d3 = p.diff(order=3)
     assert all(c.is_zero for c in d3.coeffs)
 
 
@@ -205,7 +251,7 @@ def test_differentiate_matches_finite_differences(rng):
     h = 1e-5
     for _ in range(20):
         p = random_numeric_poly(rng, int(rng.integers(1, 9)))
-        dp = differentiate(p)
+        dp = p.diff()
         for u in rng.uniform(-1.0, 1.0, 5):
             fd = (p.eval(u + h) - p.eval(u - h)) / (2.0 * h)
             assert abs(dp.eval(u) - fd) <= 1e-5 * (1.0 + abs(fd))

@@ -6,7 +6,7 @@ import pytest
 from hermitesof import solver
 from hermitesof.benchmarks import registry
 from hermitesof.errors import BarrierDomainError, InputError
-from hermitesof.hermite import HermiteForm, hermite_power, scaled_hermite
+from hermitesof.hermite import hermite_power, scaled_hermite
 from hermitesof.polynomials import MultiPoly, char_poly
 from hermitesof.solver import (
     SofProgram,
@@ -20,8 +20,9 @@ from hermitesof.solver import (
     verify_solution,
 )
 from hermitesof.stability import TargetSpec, build_target, roots
+from hermitesof.systems import SystemInstance
 
-from conftest import relerr
+from conftest import pack_entries, relerr
 from test_hermite import _planted_plant
 
 
@@ -36,7 +37,7 @@ def _const_form(M):
     entries = [
         [MultiPoly.constant(M[i, j], 0) for j in range(n)] for i in range(n)
     ]
-    return HermiteForm.from_entries("power", entries, 0)
+    return pack_entries("power", entries, 0)
 
 
 def _random_form(rng, n, nvars):
@@ -61,7 +62,7 @@ def _random_form(rng, n, nvars):
             p = rand_poly()
             entries[i][j] = p
             entries[j][i] = p
-    return HermiteForm.from_entries("power", entries, nvars)
+    return pack_entries("power", entries, nvars)
 
 
 def _ac4_scaled_program():
@@ -73,7 +74,7 @@ def _ac4_scaled_program():
 def _k_squared_program():
     # H = [[-1 - k^2]] can never reach positive definiteness
     entries = [[MultiPoly(1, {(0,): -1.0, (2,): -1.0})]]
-    return SofProgram(HermiteForm.from_entries("power", entries, 1), mu=0.0, m=1, p=1)
+    return SofProgram(pack_entries("power", entries, 1), mu=0.0, m=1, p=1)
 
 
 # -- derivatives ------------------------------------------------------------
@@ -217,7 +218,7 @@ def test_shared_monomial_pass_is_bitwise_equal_to_per_block_path(rng):
         ),
         _k_squared_program(),
         # k2 does not occur: its derivative block is empty
-        SofProgram(HermiteForm.from_entries("power", entries, 2), mu=0.1, m=1, p=2),
+        SofProgram(pack_entries("power", entries, 2), mu=0.1, m=1, p=2),
     ]
     p = 0.05
     for prog in programs:
@@ -274,6 +275,39 @@ def test_counters_and_feasibility_invariants():
         elif me >= -1e-9:
             started = True
     assert started
+
+
+# planted 4-state, 2-input, 1-output plant (the fifth draw of a seeded suite):
+# from k0 = 0 the scaled Lagrange program ends at a stationary point with
+# lambda ~ 1e-8 above zero but min eig H(k) < 0, inside the feasibility
+# tolerance, at a gain that does not stabilize the plant
+PLANTED_4X2X1 = SystemInstance(
+    name="planted-4x2x1-1",
+    A=[
+        [0.06505379475845294, -1.1563295544136127, -0.4145084515845915, -0.07139987030714547],
+        [-1.5390968301862866, 0.5764330680683103, -0.7346042083175972, -0.1966426333248914],
+        [-0.2266632583605948, 1.0243944382916932, -2.635212968537274, 0.19786590090594042],
+        [-0.9548525963209292, 0.23762835042866665, -0.03312884204061706, -2.4229371628547267],
+    ],
+    B=[
+        [1.2504548087938758, 0.29242238367403595],
+        [-0.09592687431120771, 2.3993557298494004],
+        [0.16556716435746782, 1.0085141647918283],
+        [0.36360289520299977, 0.7590718337919495],
+    ],
+    C=[[1.222792927830172, -1.5871781338588333, 1.1769659843345415, -0.414457943887934]],
+)
+
+
+def test_converged_means_strictly_feasible():
+    q = char_poly(PLANTED_4X2X1)
+    target = build_target(roots(q.at_gains([0.0, 0.0])), TargetSpec(shift=-0.5))
+    prog = SofProgram(scaled_hermite(q, target, part="re"), mu=1e-5, m=2, p=1)
+    report = solve_sof(prog, SolveConfig(k0=[0.0, 0.0]))
+    _, stable, _ = verify_solution(q, report.K)
+    min_eig_h = float(np.linalg.eigvalsh(prog.h_eval(report.k)).min())
+    assert not stable and min_eig_h < 0
+    assert report.status == "infeasible-stall"
 
 
 def test_solve_infeasible_program():
