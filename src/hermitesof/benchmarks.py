@@ -284,6 +284,8 @@ def _fmt_vec(v) -> str:
 def run_single(name: str, plant, cfg: ExperimentConfig) -> ExperimentRow:
     q, m, p = _sym_poly(plant)
     k0 = np.zeros(m * p) if cfg.k0 is None else np.asarray(cfg.k0, dtype=float)
+    # a k0 of the wrong length is reported in the error row as given
+    k0_text = _fmt_vec(k0.reshape((m, p), order="F") if k0.size == m * p else k0)
     try:
         if cfg.basis == "power":
             H = hermite_power(q)
@@ -306,7 +308,7 @@ def run_single(name: str, plant, cfg: ExperimentConfig) -> ExperimentRow:
             system=name,
             basis=cfg.basis,
             mu=cfg.mu,
-            k0=_fmt_vec(k0.reshape((m, p), order="F")),
+            k0=k0_text,
             outer=report.outer_iters,
             inner=report.inner_iters,
             linesearch=report.linesearch_steps,
@@ -320,7 +322,7 @@ def run_single(name: str, plant, cfg: ExperimentConfig) -> ExperimentRow:
             system=name,
             basis=cfg.basis,
             mu=cfg.mu,
-            k0=_fmt_vec(k0),
+            k0=k0_text,
             outer=0,
             inner=0,
             linesearch=0,

@@ -3,7 +3,8 @@
 Decision vector x = (k, lambda); objective mu*||k|| - lambda subject to
 H(k) - lambda*I >= 0.  The constraint is handled through a shifted spectral
 log barrier phi(t) = -p*log(1 - t/p) with multiplier and penalty updates in
-an outer loop and BFGS with Armijo backtracking inside.
+an outer loop and, inside, damped Newton steps on a finite-differenced
+Hessian with Armijo backtracking.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class SolveConfig:
     tol_feas: float = 1e-6
     tol_stat: float = 1e-3
     max_outer: int = 50
-    max_inner: int = 200
+    max_inner: int = 100
     armijo_c: float = 1e-4
     backtrack: float = 0.5
     max_linesearch: int = 60
@@ -156,7 +157,15 @@ def augmented_objective(
     barrier applied spectrally (Daleckii-Krein rule for the gradient).
 
     When k_bound is given, the scalar constraints |k_i| <= k_bound enter
-    through the same penalty with multipliers u_box[(lo, hi) x mp]."""
+    through the same penalty with multipliers u_box[(lo, hi) x mp]; a point
+    outside the box is rejected before H(k) is evaluated."""
+    boxed = k_bound is not None and prog.mp > 0
+    if boxed:
+        k = np.asarray(x, dtype=float)[:-1]
+        z_lo = -k_bound - k  # -k_i <= k_bound
+        z_hi = k - k_bound  # k_i <= k_bound
+        if max(z_lo.max(), z_hi.max()) >= p * (1.0 - 1e-12):
+            raise BarrierDomainError("iterate left the gain box domain")
     G, dG = constraint_eval(prog, x)
     Z = -G
     w, Q = np.linalg.eigh(Z)
@@ -180,12 +189,7 @@ def augmented_objective(
     M = Ut * Gamma
     grad = g + np.sum(M * (Q.T @ (-dG) @ Q), axis=(1, 2))
 
-    if k_bound is not None and prog.mp > 0:
-        k = np.asarray(x, dtype=float)[:-1]
-        z_lo = -k_bound - k  # -k_i <= k_bound
-        z_hi = k - k_bound  # k_i <= k_bound
-        if max(z_lo.max(), z_hi.max()) >= p * (1.0 - 1e-12):
-            raise BarrierDomainError("iterate left the gain box domain")
+    if boxed:
         if u_box is None:
             u_box = np.ones((2, prog.mp))
         val += float(u_box[0] @ _phi(z_lo, p) + u_box[1] @ _phi(z_hi, p))
@@ -214,47 +218,6 @@ def _armijo(fun_grad, x, f, d, slope, cfg: SolveConfig):
     return step, None, None, cfg.max_linesearch
 
 
-def _bfgs_inner(fun_grad, x0, tol, max_iter, cfg: SolveConfig):
-    """Quasi-Newton minimization with Armijo backtracking.
-
-    Returns (x, f, g, iters, linesearch_trials, failed).
-    """
-    x = np.asarray(x0, dtype=float)
-    f, g = fun_grad(x)
-    nvar = x.size
-    Hinv = np.eye(nvar)
-    iters = 0
-    trials = 0
-    failed = False
-    for _ in range(max_iter):
-        if np.linalg.norm(g) <= tol:
-            break
-        d = -Hinv @ g
-        slope = float(g @ d)
-        if slope >= 0:  # safeguard against a corrupted metric
-            Hinv = np.eye(nvar)
-            d = -g
-            slope = float(g @ d)
-        step, f_new, g_new, tries = _armijo(fun_grad, x, f, d, slope, cfg)
-        trials += tries
-        iters += 1
-        if f_new is None:
-            failed = True
-            break
-        s = step * d
-        y = g_new - g
-        x = x + s
-        f, g = f_new, g_new
-        sy = float(s @ y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            if iters == 1:
-                Hinv = (sy / float(y @ y)) * np.eye(nvar)
-            rho = 1.0 / sy
-            V = np.eye(nvar) - rho * np.outer(s, y)
-            Hinv = V @ Hinv @ V.T + rho * np.outer(s, s)
-    return x, f, g, max(iters, 1), max(trials, 1), failed
-
-
 def _fd_hessian(fun_grad, x, g):
     """Symmetrized finite-difference Hessian from the analytic gradient."""
     n = x.size
@@ -280,14 +243,17 @@ def _fd_hessian(fun_grad, x, g):
 
 
 def _newton_inner(fun_grad, x0, f, g, tol, max_iter, cfg: SolveConfig):
-    """Damped Newton refinement from x0 with f, g = fun_grad(x0) given; the
+    """Damped Newton minimization from x0 with f, g = fun_grad(x0) given; the
     Hessian is finite-differenced from the analytic gradient and modified
-    to be positive definite."""
+    to be positive definite.  Stops when ||g|| <= tol*(1 + |f|).
+
+    Returns (x, f, g, iters, linesearch_trials, failed).
+    """
     x = np.asarray(x0, dtype=float)
     iters = trials = 0
     failed = False
     for _ in range(max_iter):
-        if np.linalg.norm(g) <= tol:
+        if np.linalg.norm(g) <= tol * (1.0 + abs(f)):
             break
         H = _fd_hessian(fun_grad, x, g)
         w, Q = np.linalg.eigh(H)
@@ -330,20 +296,17 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
     fails = 0
     stall = 0
     status = "max-iters"
-    newton_cap = min(40, cfg.max_inner)
-    bfgs_cap = max(1, min(cfg.max_inner - newton_cap, 60))
 
     for outer in range(1, cfg.max_outer + 1):
         fun = lambda xx: augmented_objective(
             prog, xx, U, p, k_bound=cfg.k_bound, u_box=u_box
         )
-        x, f, g, it1, tr1, failed1 = _bfgs_inner(fun, x, cfg.tol_inner, bfgs_cap, cfg)
-        x, _, g, it2, tr2, failed2 = _newton_inner(
-            fun, x, f, g, cfg.tol_inner, newton_cap, cfg
+        f, g = fun(x)
+        x, _, g, iters, trials, failed = _newton_inner(
+            fun, x, f, g, cfg.tol_inner, cfg.max_inner, cfg
         )
-        inner_total += it1 + it2
-        ls_total += tr1 + tr2
-        failed = failed1 and (failed2 or it2 == 0)
+        inner_total += iters
+        ls_total += trials
 
         G, _ = constraint_eval(prog, x)
         w, Q = np.linalg.eigh(-G)

@@ -15,6 +15,7 @@ from hermitesof.benchmarks import (
 )
 from hermitesof.errors import InputError
 from hermitesof.solver import SolveConfig
+from hermitesof.systems import SystemInstance
 
 
 REG = registry()
@@ -108,3 +109,20 @@ def test_run_single_leaves_solver_config_unchanged():
     run_single("NN1", REG["systems"]["NN1"], cfg)
     assert scfg.k0 is None and scfg.lam0 is None
     assert scfg == SolveConfig(max_outer=1, max_inner=2)
+
+
+def test_run_single_error_row_prints_k0_as_a_gain_matrix():
+    plant = SystemInstance(
+        name="two-by-two",
+        A=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -2.0, -3.0]],
+        B=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        C=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    )
+    cfg = ExperimentConfig("chebyshev", 1e-3, k0=[1.0, 2.0, 3.0, 4.0])
+    row = run_single("two-by-two", plant, cfg)
+    assert row.status.startswith("error: unknown basis")
+    assert row.k0 == "[1 3; 2 4]"
+    # a k0 that is not m*p long cannot be shaped and is printed as given
+    row = run_single("two-by-two", plant, ExperimentConfig("power", 1e-3, k0=[1.0, 2.0, 3.0]))
+    assert row.status == "error: k0 length 3, expected 4"
+    assert row.k0 == "[1 2 3]"

@@ -1,10 +1,12 @@
 """Penalty solver: derivatives, end-to-end behavior, and status reporting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hermitesof import solver
-from hermitesof.benchmarks import registry
+from hermitesof.benchmarks import registry, run_single, table1_suite
 from hermitesof.errors import BarrierDomainError, InputError
 from hermitesof.hermite import hermite_power, scaled_hermite
 from hermitesof.polynomials import MultiPoly, char_poly
@@ -348,16 +350,38 @@ def test_newton_phase_reuses_the_given_evaluation():
     assert np.array_equal(x, x0) and f == 1.5 and (iters, trials, failed) == (0, 0, False)
 
 
-def test_solve_evaluates_once_less_per_outer_iteration(monkeypatch):
+def test_solve_never_repeats_an_evaluation_within_an_outer_iteration(monkeypatch):
     calls = []
     evaluate = solver.augmented_objective
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return evaluate(*args, **kwargs)
+    def recorded(prog, x, U, p, **kwargs):
+        calls.append((np.asarray(x).tobytes(), U.tobytes(), p))
+        return evaluate(prog, x, U, p, **kwargs)
 
-    monkeypatch.setattr(solver, "augmented_objective", counted)
+    monkeypatch.setattr(solver, "augmented_objective", recorded)
     report = solve_sof(_k_squared_program(), SolveConfig(k0=[0.5]))
-    # 264 evaluations when each Newton phase re-evaluated the point where
-    # its BFGS phase stopped
-    assert len(calls) == 264 - report.outer_iters
+    # U and p are fixed within an outer iteration and change between them
+    iterations = []
+    for x, U, p in calls:
+        if not iterations or iterations[-1][0] != (U, p):
+            iterations.append(((U, p), []))
+        iterations[-1][1].append(x)
+    assert len(iterations) == report.outer_iters >= 2
+    for _, xs in iterations:
+        assert len(set(xs)) == len(xs)
+
+
+def test_max_inner_caps_each_outer_iteration():
+    cfg = SolveConfig(k0=[0.0, 0.0], u0=1.0 / 9, max_inner=3, max_outer=4)
+    report = solve_sof(_ac4_scaled_program(), cfg)
+    assert report.outer_iters == 4
+    assert report.inner_iters <= cfg.max_inner * report.outer_iters
+
+
+def test_inner_loop_stops_on_its_tolerance_before_the_cap():
+    (name, plant, cfg), = [
+        row for row in table1_suite() if row[0] == "NN1" and row[2].basis == "lagrange"
+    ]
+    row = run_single(name, plant, dataclasses.replace(cfg, solver=SolveConfig(max_inner=100)))
+    assert row.status == "converged"
+    assert row.inner < 100 * row.outer
