@@ -34,11 +34,13 @@ from .hermite import (
     scaling_from_numeric,
 )
 from .polynomials import (
+    CharPoly,
     MultiPoly,
-    PolyInS,
-    ReImPair,
     char_poly,
+    gain_support,
     optimal_rho,
+    poly_degree,
+    poly_from_roots,
     split_re_im,
     vec_gain,
 )

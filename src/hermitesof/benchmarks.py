@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import HermiteSofError, InputError
 from .hermite import hermite_power, scaled_hermite
-from .polynomials import MultiPoly, PolyInS, char_poly
+from .polynomials import CharPoly, char_poly, gain_support
 from .solver import SofProgram, SolveConfig, SolveReport, solve_sof, verify_solution
 from .stability import TargetSpec, build_target, roots
 from .systems import SystemInstance
@@ -27,7 +27,7 @@ class PolyFixture:
     """A characteristic polynomial known to printed precision."""
 
     name: str
-    q: PolyInS
+    q: CharPoly
     provenance: str
     m: int = 1  # gain matrix shape when symbolic
 
@@ -36,16 +36,21 @@ class PolyFixture:
         return self.q.nvars // self.m if self.q.nvars else 0
 
 
-def _mp(nv: int, const: float = 0.0, **lin) -> MultiPoly:
-    """Affine MultiPoly helper: _mp(4, c, k1=..., k2=...)."""
-    terms = {}
-    if const:
-        terms[(0,) * nv] = const
+def _mp(nv: int, const: float = 0.0, **lin) -> np.ndarray:
+    """One power's coefficients over the monomials 1, k1, ..., k_nv:
+    _mp(4, c, k1=..., k2=...)."""
+    row = np.zeros(nv + 1)
+    row[0] = const
     for name, coeff in lin.items():
-        idx = int(name[1:]) - 1
-        mono = tuple(1 if i == idx else 0 for i in range(nv))
-        terms[mono] = coeff
-    return MultiPoly(nv, terms)
+        row[int(name[1:])] = coeff
+    return row
+
+
+def _printed(rows) -> CharPoly:
+    """q(k) of a printed fixture, affine in the gains: one row of
+    coefficients (or one number, without gains) per power of s."""
+    Q = np.array(rows, dtype=float).reshape(len(rows), -1)
+    return CharPoly(gain_support(1, Q.shape[1] - 1), Q)
 
 
 def _nn1_system() -> SystemInstance:
@@ -77,7 +82,7 @@ def _nn6_poly() -> PolyFixture:
     ]
     return PolyFixture(
         name="NN6",
-        q=PolyInS(coeffs, nvars=nv),
+        q=_printed(coeffs),
         provenance="closed-loop characteristic polynomial, printed to 8 digits",
         m=1,
     )
@@ -94,7 +99,7 @@ def _ac4_poly() -> PolyFixture:
     ]
     return PolyFixture(
         name="AC4",
-        q=PolyInS(coeffs, nvars=nv),
+        q=_printed(coeffs),
         provenance="closed-loop characteristic polynomial, printed to 8 digits",
         m=1,
     )
@@ -103,9 +108,7 @@ def _ac4_poly() -> PolyFixture:
 def _ac4_openloop() -> PolyFixture:
     return PolyFixture(
         name="AC4_openloop",
-        q=PolyInS.from_numeric(
-            [-66.837750, -1330.6306, 130.03210, 150.92600, 1.0]
-        ),
+        q=_printed([-66.837750, -1330.6306, 130.03210, 150.92600, 1.0]),
         provenance="open-loop characteristic polynomial, printed to 8 digits",
     )
 
@@ -113,7 +116,7 @@ def _ac4_openloop() -> PolyFixture:
 def _nn5_openloop() -> PolyFixture:
     return PolyFixture(
         name="NN5_openloop",
-        q=PolyInS.from_numeric(
+        q=_printed(
             [6.3000000, -448.72180, 1.2196400, 2249.4849, 458.42510,
              96.515330, 10.171000, 1.0]
         ),
@@ -267,7 +270,7 @@ class ExperimentRow:
     stable: bool
 
 
-def _sym_poly(plant) -> tuple[PolyInS, int, int]:
+def _sym_poly(plant) -> tuple[CharPoly, int, int]:
     if isinstance(plant, SystemInstance):
         return char_poly(plant), plant.m, plant.p
     if isinstance(plant, PolyFixture):

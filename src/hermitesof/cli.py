@@ -62,16 +62,17 @@ def _target_spec(args) -> TargetSpec | None:
     return None
 
 
-def _resolve_target(q, mp: int, spec: TargetSpec):
+def _resolve_target(open_loop, spec: TargetSpec):
+    """Target coefficients from the spec and the open-loop coefficients."""
     if spec.mode == "explicit-roots":
         return build_target([], spec)
-    return build_target(roots(q.at_gains(np.zeros(mp))), spec)
+    return build_target(roots(open_loop), spec)
 
 
 def _default_part(args, q) -> str:
     if getattr(args, "part", None):
         return args.part
-    return "im" if q.degree_actual() % 2 == 1 else "re"
+    return "im" if q.n % 2 == 1 else "re"
 
 
 def _suite_defaults(name: str, basis: str) -> ExperimentConfig | None:
@@ -92,7 +93,7 @@ def cmd_hermite(args) -> int:
         spec = _target_spec(args)
         if spec is None:
             raise InputError("lagrange basis needs --roots or --target-shift")
-        target = _resolve_target(q, m * p, spec)
+        target = _resolve_target(q.at_gains(np.zeros(q.nvars)), spec)
         H = scaled_hermite(q, target, part=_default_part(args, q))
     entries = {
         f"{i},{j}": str(H.entry(i, j))
@@ -121,16 +122,15 @@ def cmd_hermite(args) -> int:
 
 def cmd_cond(args) -> int:
     plant = get_plant(args.fixture)
-    q, m, p = _sym_poly(plant)
-    if not q.is_numeric:
-        gains = _parse_floats(args.K) if args.K else [0.0] * (m * p)
-        q = q.at_gains(gains)
+    q, _, _ = _sym_poly(plant)
+    part = _default_part(args, q)
+    c = q.at_gains(_parse_floats(args.K) if args.K and q.nvars else np.zeros(q.nvars))
     rows: list[tuple[str, str]] = []
-    hp = hermite_power(q)
+    hp = hermite_power(c)
     Mp = np.asarray(hp.eval_at(), dtype=float)
     rows.append(("power", f"{cond_frobenius(Mp):.8g}"))
     try:
-        rho = optimal_rho(q)
+        rho = optimal_rho(c)
         rows.append(
             (f"power-scaled (rho={rho:.8g})", f"{cond_frobenius(power_scale(Mp, rho)):.8g}")
         )
@@ -138,9 +138,9 @@ def cmd_cond(args) -> int:
         rows.append(("power-scaled", f"n/a ({exc})"))
     spec = _target_spec(args)
     try:
-        target = _resolve_target(q, 0, spec) if spec is not None else q
-        nodes = nodes_from_target(target, part=_default_part(args, q))
-        hl = hermite_lagrange(q, nodes)
+        target = _resolve_target(c, spec) if spec is not None else c
+        nodes = nodes_from_target(target, part=part)
+        hl = hermite_lagrange(c, nodes)
         Ml = np.asarray(hl.eval_at(), dtype=float)
         rows.append(("lagrange", f"{cond_frobenius(Ml):.8g}"))
         S = scaling_from_numeric(Ml, nodes)
@@ -195,8 +195,6 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     plant = get_plant(args.fixture)
     q, m, p = _sym_poly(plant)
-    if not args.K:
-        raise InputError("verify needs --K")
     gains = _parse_floats(args.K)
     if len(gains) != m * p:
         raise InputError(f"expected {m * p} gains, got {len(gains)}")

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, InputError, UnsupportedNodeError
-from .polynomials import MultiPoly, PolyInS, char_poly
+from .polynomials import CharPoly, MultiPoly, char_poly, poly_degree, split_re_im
 from .systems import SystemInstance
 
 _NODE_TOL = 1e-9
@@ -177,29 +177,37 @@ def eval_terms(E: np.ndarray, C: np.ndarray, k: np.ndarray) -> np.ndarray:
 # -- power basis ---------------------------------------------------------
 
 
-def hermite_power(q: PolyInS) -> HermiteForm:
-    """Hermite matrix of q in the power basis: the Bezoutian of the
-    imaginary part a and the real part b of q(j*u), the n-by-n quadratic
-    form of (a(u)b(v) - a(v)b(u)) / (u - v), built from q's coefficient
-    matrix over its monomials.
+def _terms(q) -> tuple[np.ndarray, np.ndarray]:
+    """(E, Q) of a CharPoly, or of a numeric coefficient array as a
+    polynomial in no gains."""
+    if isinstance(q, CharPoly):
+        return q.E, q.Q
+    return np.zeros((1, 0), dtype=np.int64), np.asarray(q)[:, None]
+
+
+def hermite_power(q) -> HermiteForm:
+    """Hermite matrix of q (a CharPoly or a numeric coefficient array) in
+    the power basis: the Bezoutian of the imaginary part a and the real
+    part b of q(j*u), the n-by-n quadratic form of
+    (a(u)b(v) - a(v)b(u)) / (u - v), built from q's coefficient matrix over
+    its monomials.
 
     Entry (i, j) accumulates a_{j+1+t} b_{i-t} - a_{i-t} b_{j+1+t} over t;
-    each product sums its monomial pairs first-factor-major.  The order
-    fixes the rounding, and the solver's outcomes follow the last ulp.
+    each product sums its monomial pairs first-factor-major, with q's
+    monomials in the order they first occur scanning the powers of s
+    upward.  The order fixes the rounding, and the solver's outcomes
+    follow the last ulp.
     """
-    n = q.degree_actual()
+    Es, Q = _terms(q)
+    n = poly_degree(Q)
     if n < 1:
         raise DegenerateInputError("degree must be at least 1")
-    nv = q.nvars
-    monos = list(dict.fromkeys(m for c in q.coeffs[: n + 1] for m in c.terms))
-    Q = np.array([[c.terms.get(m, 0.0) for m in monos] for c in q.coeffs[: n + 1]])
-    # q(j*u) = b(u) + j*a(u): even powers go to b, odd ones to a, signed
-    Q = Q * (-1.0) ** (np.arange(n + 1) // 2)[:, None]
-    a, b = np.zeros_like(Q), np.zeros_like(Q)
-    a[1::2], b[0::2] = Q[1::2], Q[0::2]
+    nv = Es.shape[1]
+    order = list(dict.fromkeys(np.nonzero(Q[: n + 1])[1].tolist()))
+    a, b = split_re_im(Q[: n + 1, order])
 
     # the monomial of every pair (t1, t2), t1-major, as a row of E
-    Eq = np.array(monos, dtype=np.int64).reshape(len(monos), nv)
+    Eq = Es[order]
     pairs = (Eq[:, None] + Eq[None, :]).reshape(len(Eq) ** 2, nv)
     keys = sorted(set(map(tuple, pairs.tolist())), key=lambda m: (sum(m), m))
     E = np.array(keys, dtype=np.int64).reshape(len(keys), nv)
@@ -208,18 +216,18 @@ def hermite_power(q: PolyInS) -> HermiteForm:
 
     def product(x, y):
         # per row: sum over monomial pairs of x[t1] * y[t2]
-        out = np.zeros((len(x), len(E)), dtype=Q.dtype)
+        out = np.zeros((len(x), len(E)), dtype=a.dtype)
         prods = (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
         np.add.at(out, (np.arange(len(x))[:, None], pidx), prods)
         return out
 
     ii, jj = np.triu_indices(n)
-    acc = np.zeros((len(ii), len(E)), dtype=Q.dtype)
+    acc = np.zeros((len(ii), len(E)), dtype=a.dtype)
     for t in range((n + 1) // 2):
         sel = np.flatnonzero(t <= np.minimum(ii, n - 1 - jj))
         i, j = ii[sel], jj[sel]
         acc[sel] = acc[sel] + product(a[j + 1 + t], b[i - t]) - product(a[i - t], b[j + 1 + t])
-    C = np.zeros((len(E), n, n), dtype=Q.dtype)
+    C = np.zeros((len(E), n, n), dtype=a.dtype)
     C[:, ii, jj] = acc.T
     C[:, jj, ii] = acc.T
     if np.iscomplexobj(C) and not C.imag.any():
@@ -243,9 +251,7 @@ def _node_weights(nodes: NodeSet, n: int, conjugate: bool) -> np.ndarray:
     return W
 
 
-def hermite_lagrange(
-    q: PolyInS, nodes: NodeSet, mode: str = "symmetric"
-) -> HermiteForm:
+def hermite_lagrange(q, nodes: NodeSet, mode: str = "symmetric") -> HermiteForm:
     """Hermite matrix of q in the Lagrange basis over the given nodes.
 
     Distinct nodes follow the divided-difference rule with the derivative
@@ -255,7 +261,8 @@ def hermite_lagrange(
     is a real symmetric polynomial matrix; "hermitian" mode accepts general
     complex nodes but only for numeric polynomials.
     """
-    n = q.degree_actual()
+    E, Q = _terms(q)
+    n = poly_degree(Q)
     if len(nodes) != n:
         raise InputError(f"need {n} nodes, got {len(nodes)}")
     if mode == "symmetric":
@@ -264,7 +271,7 @@ def hermite_lagrange(
                 "general complex nodes are not allowed in symmetric-real mode"
             )
     elif mode == "hermitian":
-        if not q.is_numeric:
+        if E[Q.any(axis=0)].any():
             raise InputError("hermitian mode requires a numeric polynomial")
     else:
         raise InputError(f"unknown mode {mode!r}")
@@ -299,17 +306,16 @@ def hermite_lagrange(
                 "has non-negligible imaginary part"
             )
         CL = np.where(upper, CL.real, CL.real.transpose(0, 2, 1))
-    keep = CL.reshape(len(CL), -1).any(axis=1)
+    keep = CL.reshape(len(CL), n * n).any(axis=1)
     return HermiteForm(basis="lagrange", E=HP.E[keep], C=CL[keep], nodes=nodes)
 
 
-def congruence_check(q: PolyInS, nodes: NodeSet) -> float:
+def congruence_check(q, nodes: NodeSet) -> float:
     """Max entrywise deviation between the Lagrange matrix and the
-    Vandermonde congruence V* H^P V of the power-basis matrix."""
-    if not q.is_numeric:
-        raise InputError("congruence_check requires a numeric polynomial")
-    n = q.degree_actual()
+    Vandermonde congruence V* H^P V of the power-basis matrix, for a
+    numeric coefficient array q."""
     HP = hermite_power(q).eval_at()
+    n = len(HP)
     HL = hermite_lagrange(q, nodes, mode="hermitian").eval_at()
     V = np.vander(np.asarray(nodes.values, dtype=complex), N=n, increasing=True).T
     ref = V.conj().T @ HP @ V
@@ -360,16 +366,14 @@ def apply_scaling(H: HermiteForm, S: ScalingDiag) -> HermiteForm:
 
 
 def scaled_hermite(
-    plant, target: PolyInS, part: str = "im", nodes: NodeSet | None = None
+    plant, target: np.ndarray, part: str = "im", nodes: NodeSet | None = None
 ) -> HermiteForm:
     """Scaled Lagrange-basis Hermite matrix: nodes and the normalizing
-    diagonal both come from the numeric target polynomial.
+    diagonal both come from the target polynomial's coefficient array.
 
-    `plant` is either a SystemInstance (characteristic polynomial computed
-    symbolically) or an already-symbolic PolyInS.
+    `plant` is either a SystemInstance (its characteristic polynomial is
+    computed here) or a CharPoly.
     """
-    if not target.is_numeric:
-        raise InputError("target polynomial must be numeric")
     if isinstance(plant, SystemInstance):
         q = char_poly(plant)
     else:

@@ -1,17 +1,18 @@
-"""Polynomial arithmetic in the gain variables and the frequency variable.
+"""Characteristic polynomials in the gain variables, numeric polynomials in
+the frequency variable, and the display form of polynomials in the gains.
 
-Coefficients are double-precision floats (complex in the displayed entries
-of hermitian-mode Lagrange forms).  A sparse multivariate polynomial in the
-gain vector k is a map from exponent tuples to coefficients; a polynomial in
-the frequency variable s carries one such multivariate coefficient per power
-of s.
+q(k) = det(sI - A - B K C) is a `CharPoly`: the exponent rows of the gain
+monomials it can contain and one float coefficient per power of s and
+monomial.  A numeric polynomial in s is a plain array of ascending
+coefficients.  `MultiPoly` holds one sparse polynomial in the gains for
+display and tests.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +26,8 @@ def _grlex_key(mono: Exponents):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial in the gain variables k_1..k_nvars."""
+    """Sparse polynomial in the gain variables k_1..k_nvars, for display:
+    a map from exponent tuples to coefficients without zero terms."""
 
     __slots__ = ("nvars", "terms")
 
@@ -42,113 +44,22 @@ class MultiPoly:
                     clean[tuple(int(e) for e in mono)] = clean.get(tuple(mono), 0) + coeff
         self.terms = {m: c for m, c in clean.items() if c != 0}
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, value: complex, nvars: int) -> "MultiPoly":
-        if value == 0:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, index: int, nvars: int) -> "MultiPoly":
-        if not 0 <= index < nvars:
-            raise InputError(f"variable index {index} out of range for {nvars} gains")
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {mono: 1.0})
-
-    # -- queries ------------------------------------------------------
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
-
     def constant_value(self) -> complex:
-        if not self.is_constant:
+        if any(sum(m) for m in self.terms):
             raise InputError("polynomial is not constant")
         return self.terms.get((0,) * self.nvars, 0.0)
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _coerce(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            if other.nvars != self.nvars:
-                raise InputError("mixed gain-variable counts")
-            return other
-        return MultiPoly.constant(other, self.nvars)
-
-    def __add__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return MultiPoly(self.nvars, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "MultiPoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "MultiPoly":
-        return self._coerce(other) + (-self)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other) -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            if other == 0:
-                return MultiPoly(self.nvars)
-            return MultiPoly(self.nvars, {m: c * other for m, c in self.terms.items()})
-        if other.nvars != self.nvars:
-            raise InputError("mixed gain-variable counts")
-        terms: dict[Exponents, complex] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return MultiPoly(self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "MultiPoly":
-        return self * (1.0 / scalar)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
-        return self.is_constant and self.constant_value() == other
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    # -- evaluation ----------------------------------------------------
-
-    def __call__(self, k: Sequence[float] | None = None) -> complex:
-        if self.nvars == 0 or k is None:
-            return self.constant_value()
-        if len(k) != self.nvars:
-            raise InputError(f"gain vector length {len(k)}, expected {self.nvars}")
-        total = 0.0
-        for m, c in self.terms.items():
-            v = c
-            for e, ki in zip(m, k):
-                if e:
-                    v *= ki ** e
-            total += v
-        return total
-
-    # -- formatting ----------------------------------------------------
 
     def __str__(self) -> str:
         if not self.terms:
@@ -185,157 +96,86 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-class PolyInS:
-    """Univariate polynomial in the frequency variable with MultiPoly coefficients.
+@dataclass(frozen=True, eq=False)
+class CharPoly:
+    """q(k) = sum_i s**i * sum_t Q[i, t] * k**E[t].
 
-    coeffs[i] multiplies s**i; the stored length fixes the nominal degree.
+    E (S x nvars, int) holds the exponent rows of the gain monomials q can
+    contain and Q ((n+1) x S, float) their coefficients, one row per power
+    of s; the leading row is the monic 1.
     """
 
-    __slots__ = ("coeffs", "nvars")
+    E: np.ndarray
+    Q: np.ndarray
 
-    def __init__(self, coeffs: Sequence[MultiPoly | float], nvars: int | None = None):
-        if not coeffs:
-            raise InputError("empty coefficient list")
-        if nvars is None:
-            nvars = next(
-                (c.nvars for c in coeffs if isinstance(c, MultiPoly)), 0
-            )
-        self.nvars = nvars
-        self.coeffs: list[MultiPoly] = [
-            c if isinstance(c, MultiPoly) else MultiPoly.constant(c, nvars)
-            for c in coeffs
-        ]
-        for c in self.coeffs:
-            if c.nvars != nvars:
-                raise InputError("inconsistent gain-variable counts in coefficients")
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def from_numeric(cls, coeffs: Iterable[float]) -> "PolyInS":
-        return cls([MultiPoly.constant(c, 0) for c in coeffs], nvars=0)
-
-    @classmethod
-    def from_roots(cls, roots: Sequence[complex]) -> "PolyInS":
-        """Monic polynomial with the given roots; realified when conjugate-closed."""
-        c = np.poly(np.asarray(roots, dtype=complex))  # descending order
-        if np.max(np.abs(c.imag)) <= 1e-9 * max(1.0, np.max(np.abs(c))):
-            c = c.real
-        else:
-            raise InputError("root list is not closed under complex conjugation")
-        return cls.from_numeric(list(c[::-1]))
-
-    # -- queries -------------------------------------------------------
+    @property
+    def nvars(self) -> int:
+        return self.E.shape[1]
 
     @property
     def n(self) -> int:
-        """Nominal degree (length of the coefficient array minus one)."""
-        return len(self.coeffs) - 1
+        """Degree in s."""
+        return len(self.Q) - 1
 
-    def degree_actual(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[i].is_zero:
-                return i
-        return -1
+    def at_gains(self, k: Sequence[float]) -> np.ndarray:
+        """Ascending coefficients of q at a numeric gain vector.
+
+        Each term is multiplied out gain by gain and each power's terms are
+        summed one after another in support order: the order fixes the
+        rounding of the coefficients, and so of the roots `verify_solution`
+        reports.
+        """
+        k = np.asarray(k, dtype=float)
+        if k.shape != (self.nvars,):
+            raise InputError(f"gain vector length {k.size}, expected {self.nvars}")
+        V = self.Q.copy()
+        for l, e in enumerate(self.E.T):
+            rows = e > 0
+            V[:, rows] *= k[l] ** e[rows]
+        return np.add.accumulate(V, axis=1)[:, -1]
 
     @property
-    def is_numeric(self) -> bool:
-        return all(c.is_constant for c in self.coeffs)
-
-    def numeric_coeffs(self) -> np.ndarray:
-        """Ascending-power real coefficient array; raises if symbolic."""
-        vals = [complex(c.constant_value()) for c in self.coeffs]
-        arr = np.asarray(vals)
-        if np.max(np.abs(arr.imag)) > 1e-12 * max(1.0, np.max(np.abs(arr))):
-            return arr
-        return arr.real
-
-    # -- operations ----------------------------------------------------
-
-    def at_gains(self, k: Sequence[float]) -> "PolyInS":
-        """Substitute a numeric gain vector, yielding a numeric polynomial."""
-        return PolyInS.from_numeric([c(k) for c in self.coeffs])
-
-    def eval(self, s: complex, k: Sequence[float] | None = None):
-        """Horner evaluation at s; symbolic in k when k is None and nvars > 0."""
-        if k is not None:
-            acc = 0.0
-            for c in reversed(self.coeffs):
-                acc = acc * s + c(k)
-            return acc
-        acc = MultiPoly(self.nvars)
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc if self.nvars else acc.constant_value()
-
-    def diff(self, order: int = 1) -> "PolyInS":
-        """Derivative in the frequency variable."""
-        if order < 1:
-            raise InputError("derivative order must be >= 1")
-        coeffs = self.coeffs
-        for _ in range(order):
-            if len(coeffs) == 1:
-                coeffs = [MultiPoly(self.nvars)]
-                continue
-            coeffs = [coeffs[i] * i for i in range(1, len(coeffs))]
-        return PolyInS(coeffs, nvars=self.nvars)
-
-    def __mul__(self, other: "PolyInS") -> "PolyInS":
-        nv = max(self.nvars, other.nvars)
-        out = [MultiPoly(nv) for _ in range(self.n + other.n + 1)]
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return PolyInS(out, nvars=nv)
-
-    def __str__(self) -> str:
-        pieces = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero:
-                continue
-            spow = "" if i == 0 else ("s" if i == 1 else f"s^{i}")
-            body = str(c)
-            if not c.is_constant and spow:
-                body = f"({body})"
-            pieces.append(f"{body}{'*' if spow and c.is_constant else ''}{spow}")
-        return " + ".join(pieces) if pieces else "0"
-
-    def __repr__(self) -> str:
-        return f"PolyInS({self})"
+    def coeffs(self) -> list[MultiPoly]:
+        """One MultiPoly per power of s, zero terms dropped, for display."""
+        monos = [tuple(e) for e in self.E.tolist()]
+        return [MultiPoly(self.nvars, dict(zip(monos, row))) for row in self.Q.tolist()]
 
 
-class ReImPair:
-    """Imaginary/real parts of q(j*u): a holds odd powers, b even powers of u."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: PolyInS, b: PolyInS):
-        self.a = a
-        self.b = b
+# -- numeric polynomials in s -------------------------------------------------
 
 
-def split_re_im(q: PolyInS) -> ReImPair:
-    """Decompose q(j*u) = b(u) + j*a(u) with real coefficient polynomials."""
-    n = q.n
-    nv = q.nvars
-    za = [MultiPoly(nv) for _ in range(n + 1)]
-    zb = [MultiPoly(nv) for _ in range(n + 1)]
-    for i, c in enumerate(q.coeffs):
-        if i % 2 == 0:
-            zb[i] = c * float((-1) ** (i // 2))
-        else:
-            za[i] = c * float((-1) ** ((i - 1) // 2))
-    return ReImPair(PolyInS(za, nvars=nv), PolyInS(zb, nvars=nv))
+def poly_degree(c) -> int:
+    """Highest power with a nonzero coefficient (-1 if none); c holds one
+    coefficient, or one row of coefficients, per power in ascending order."""
+    c = np.asarray(c)
+    nz = np.flatnonzero(c.reshape(len(c), -1).any(axis=1))
+    return int(nz[-1]) if nz.size else -1
 
 
-def optimal_rho(q: PolyInS) -> float:
+def poly_from_roots(roots: Sequence[complex]) -> np.ndarray:
+    """Ascending coefficients of the monic polynomial with the given roots,
+    which must be closed under complex conjugation."""
+    c = np.poly(np.asarray(roots, dtype=complex))  # descending order
+    if np.max(np.abs(c.imag)) > 1e-9 * max(1.0, np.max(np.abs(c))):
+        raise InputError("root list is not closed under complex conjugation")
+    return c.real[::-1]
+
+
+def split_re_im(c) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with q(j*u) = b(u) + j*a(u) for q's ascending coefficients c
+    (one coefficient or one row per power): a keeps the odd powers of q and
+    b the even ones, power i signed by (-1)**(i // 2)."""
+    c = np.asarray(c)
+    i = np.arange(len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    signed = c * (-1.0) ** (i // 2)
+    return np.where(i % 2 == 1, signed, 0.0), np.where(i % 2 == 0, signed, 0.0)
+
+
+def optimal_rho(c) -> float:
     """Frequency scaling making |constant| and |leading| coefficients equal after
     substituting rho*s for s and renormalizing to monic."""
-    if not q.is_numeric:
-        raise InputError("optimal_rho requires a numeric polynomial")
-    c = q.numeric_coeffs()
-    n = q.degree_actual()
+    c = np.asarray(c)
+    n = poly_degree(c)
     if n < 1:
         raise DegenerateInputError("polynomial has no frequency dependence")
     q0, qn = c[0], c[n]
@@ -368,8 +208,8 @@ def gain_support(m: int, p: int) -> np.ndarray:
     return E
 
 
-def char_poly(sys) -> PolyInS:
-    """Characteristic polynomial det(sI - A - B K C) with symbolic K.
+def char_poly(sys) -> CharPoly:
+    """Characteristic polynomial det(sI - A - B K C) in the gains of K.
 
     Runs the Faddeev-LeVerrier trace recurrence on float arrays of shape
     (n, n, S) that hold one coefficient per support monomial (see
@@ -424,10 +264,7 @@ def char_poly(sys) -> PolyInS:
         coeffs[n - k] = tr * (-1.0 / k)
         N = MN
         N[range(n), range(n)] += coeffs[n - k]
-    monos = [tuple(e) for e in E.tolist()]
-    return PolyInS(
-        [MultiPoly(nv, dict(zip(monos, c))) for c in coeffs], nvars=nv
-    )
+    return CharPoly(E, coeffs)
 
 
 def vec_gain(K) -> list[float]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BarrierDomainError, InputError
 from .hermite import HermiteForm
-from .polynomials import PolyInS, char_poly, vec_gain
+from .polynomials import CharPoly, char_poly, vec_gain
 from .stability import roots as poly_roots
 from .systems import SystemInstance
 
@@ -30,6 +30,8 @@ class SofProgram:
     p: int | None = None
 
     def __post_init__(self):
+        if not self.mu >= 0:
+            raise InputError(f"mu {self.mu:.8g} must be non-negative")
         self.mp = self.H.nvars
         if self.p is None:
             if self.mp % self.m != 0:
@@ -282,8 +284,20 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
     k0 = np.zeros(mp) if cfg.k0 is None else np.asarray(cfg.k0, dtype=float)
     if k0.size != mp:
         raise InputError(f"k0 length {k0.size}, expected {mp}")
-    H0 = prog.h_eval(k0)
-    lam0 = cfg.lam0 if cfg.lam0 is not None else float(np.linalg.eigvalsh(H0).min()) - 1.0
+    # the start must lie in the domain of the barriers, or the first
+    # evaluation fails inside the solver
+    out = np.flatnonzero(~(np.abs(k0) <= cfg.k_bound))
+    if out.size:
+        raise InputError(
+            f"k0 entry {k0[out[0]]:.8g} lies outside the gain box |k| <= {cfg.k_bound:.8g}"
+        )
+    eig_min = float(np.linalg.eigvalsh(prog.h_eval(k0)).min())
+    lam0 = cfg.lam0 if cfg.lam0 is not None else eig_min - 1.0
+    lam_max = eig_min + cfg.p0 * (1.0 - 1e-12)
+    if not lam0 < lam_max:
+        raise InputError(
+            f"lam0 {lam0:.8g} must be below min eig H(k0) + p0 = {lam_max:.8g}"
+        )
     x = np.concatenate([k0, [lam0]])
 
     # default trace 1, the KKT normalization for objective -lambda
@@ -384,14 +398,14 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
 def verify_solution(plant, K) -> tuple[np.ndarray, bool, float]:
     """Closed-loop poles at gain K plus a strict-stability flag and margin.
 
-    `plant` is a SystemInstance or a symbolic characteristic polynomial.
+    `plant` is a SystemInstance or its characteristic polynomial q(k).
     """
     if isinstance(plant, SystemInstance):
         q = char_poly(plant)
-    elif isinstance(plant, PolyInS):
+    elif isinstance(plant, CharPoly):
         q = plant
     else:
-        raise InputError("plant must be a SystemInstance or PolyInS")
+        raise InputError("plant must be a SystemInstance or CharPoly")
     k = vec_gain(K)
     qn = q.at_gains(k)
     rts = poly_roots(qn)

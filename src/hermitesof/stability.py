@@ -1,4 +1,6 @@
-"""Root-based stability oracles, the Routh array, and target polynomials."""
+"""Root-based stability oracles, the Routh array, and target polynomials.
+
+Polynomials here are numeric: arrays of ascending coefficients."""
 
 from __future__ import annotations
 
@@ -8,35 +10,45 @@ import numpy as np
 
 from .errors import DegenerateInputError, NodeCountError
 from .hermite import NodeSet
-from .polynomials import PolyInS, ReImPair, split_re_im
+from .polynomials import poly_degree, poly_from_roots, split_re_im
 
 _MARGINAL = 1e-9
 _REAL_TOL = 1e-6
 
 
-def roots(q: PolyInS) -> np.ndarray:
-    """Polynomial roots via the companion-matrix eigenvalues, with one Newton
-    polishing step to sharpen agreement with printed reference values."""
-    if not q.is_numeric:
-        raise DegenerateInputError("roots requires a numeric polynomial")
-    c = np.asarray(q.numeric_coeffs(), dtype=complex)
-    d = q.degree_actual()
+def _horner(c: np.ndarray, s: complex) -> complex:
+    """Value at s of the polynomial with ascending coefficients c, in
+    scalar arithmetic: np.polyval's array loops round differently, and the
+    polished roots would move in the last bits."""
+    acc = 0.0
+    for ci in c[::-1]:
+        acc = acc * s + ci
+    return acc
+
+
+def roots(q) -> np.ndarray:
+    """Roots of the polynomial with ascending coefficients q via the
+    companion-matrix eigenvalues, with one Newton polishing step to sharpen
+    agreement with printed reference values."""
+    q = np.asarray(q)
+    c = q.astype(complex)
+    d = poly_degree(q)
     if d < 1:
         raise DegenerateInputError("degree must be at least 1")
     if abs(c[d]) <= 1e-14 * np.max(np.abs(c)):
         raise DegenerateInputError("leading coefficient vanishes")
     rts = np.roots(c[d::-1])
-    dq = q.diff()
+    dq = q[1:] * np.arange(1, len(q))
     polished = []
     for r in rts:
-        fp = dq.eval(r, k=[])
+        fp = _horner(dq, r)
         if abs(fp) > 1e-12:
-            r = r - q.eval(r, k=[]) / fp
+            r = r - _horner(q, r) / fp
         polished.append(r)
     return np.asarray(polished)
 
 
-def is_hurwitz(q: PolyInS) -> tuple[bool, float]:
+def is_hurwitz(q) -> tuple[bool, float]:
     """(stable, margin): stable iff every root has strictly negative real part;
     margin is the largest real part."""
     rts = roots(q)
@@ -44,13 +56,11 @@ def is_hurwitz(q: PolyInS) -> tuple[bool, float]:
     return margin < 0.0, margin
 
 
-def routh_hurwitz(q: PolyInS) -> bool:
+def routh_hurwitz(q) -> bool:
     """Tabular Routh array test; zero first-column pivots fall back to an
     epsilon perturbation."""
-    if not q.is_numeric:
-        raise DegenerateInputError("routh_hurwitz requires a numeric polynomial")
-    c = np.asarray(q.numeric_coeffs(), dtype=float)
-    d = q.degree_actual()
+    c = np.asarray(q, dtype=float)
+    d = poly_degree(c)
     if d < 1:
         raise DegenerateInputError("degree must be at least 1")
     if c[d] < 0:
@@ -92,8 +102,8 @@ class TargetSpec:
             raise DegenerateInputError("shift must be negative")
 
 
-def build_target(open_loop_poles, spec: TargetSpec) -> PolyInS:
-    """Monic target polynomial.
+def build_target(open_loop_poles, spec: TargetSpec) -> np.ndarray:
+    """Ascending coefficients of the monic target polynomial.
 
     Mirror-shift keeps stable poles and moves every unstable or marginal pole
     to the left half-plane: real poles to the shift value, complex pairs by
@@ -105,7 +115,7 @@ def build_target(open_loop_poles, spec: TargetSpec) -> PolyInS:
     if spec.mode == "explicit-roots":
         if not spec.roots:
             raise DegenerateInputError("explicit-roots target needs roots")
-        return PolyInS.from_roots(spec.roots)
+        return poly_from_roots(spec.roots)
     poles = [complex(p) for p in open_loop_poles]
     if not poles:
         raise DegenerateInputError("empty pole list")
@@ -118,18 +128,18 @@ def build_target(open_loop_poles, spec: TargetSpec) -> PolyInS:
             out.append(complex(spec.shift, 0.0))
         else:
             out.append(complex(spec.shift, pole.imag))
-    return PolyInS.from_roots(out)
+    return poly_from_roots(out)
 
 
-def nodes_from_target(target: PolyInS, part: str = "im") -> NodeSet:
+def nodes_from_target(target: np.ndarray, part: str = "im") -> NodeSet:
     """Interpolation nodes: roots of the imaginary (default) or real part of
     the target polynomial on the imaginary axis."""
     if part not in ("im", "re"):
         raise DegenerateInputError(f"part must be 'im' or 're', got {part!r}")
-    n = target.degree_actual()
-    pair = split_re_im(target)
-    sel = pair.a if part == "im" else pair.b
-    d = sel.degree_actual()
+    n = poly_degree(target)
+    a, b = split_re_im(target)
+    sel = a if part == "im" else b
+    d = poly_degree(sel)
     if d != n:
         raise NodeCountError(
             f"{part} part has degree {d}, needs {n} roots; "
@@ -138,17 +148,18 @@ def nodes_from_target(target: PolyInS, part: str = "im") -> NodeSet:
     return NodeSet.from_values(roots(sel))
 
 
-def interlacing_check(pair: ReImPair) -> bool:
-    """True iff the roots of both parts are real and strictly interlace."""
-    da, db = pair.a.degree_actual(), pair.b.degree_actual()
-    parts = [p for p, d in ((pair.a, da), (pair.b, db)) if d >= 1]
+def interlacing_check(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff the roots of both split parts a, b (see `split_re_im`) are
+    real and strictly interlace."""
+    da, db = poly_degree(a), poly_degree(b)
+    parts = [p for p, d in ((a, da), (b, db)) if d >= 1]
     for p in parts:
         for r in roots(p):
             if abs(r.imag) > _MARGINAL * (1.0 + abs(r)):
                 return False
     if da < 1 or db < 1:
         return True  # a constant part interlaces vacuously
-    ra, rb = roots(pair.a), roots(pair.b)
+    ra, rb = roots(a), roots(b)
     sa = np.sort(ra.real)
     sb = np.sort(rb.real)
     if abs(len(sa) - len(sb)) != 1:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermitesof.hermite import HermiteForm
-from hermitesof.polynomials import MultiPoly, PolyInS, split_re_im
+from hermitesof.polynomials import poly_from_roots
 
 
 def relerr(actual, expected):
@@ -14,7 +14,7 @@ def random_numeric_poly(rng, degree):
     """Monic random polynomial with unit-scale coefficients."""
     coeffs = rng.standard_normal(degree + 1)
     coeffs[-1] = 1.0
-    return PolyInS.from_numeric(coeffs)
+    return coeffs
 
 
 def random_stable_poly(rng, degree):
@@ -30,7 +30,7 @@ def random_stable_poly(rng, degree):
         else:
             roots.append(complex(-rng.uniform(0.1, 3.0), 0.0))
             d -= 1
-    return PolyInS.from_roots(roots)
+    return poly_from_roots(roots)
 
 
 @pytest.fixture
@@ -41,16 +41,47 @@ def rng():
 # -- symbolic reference paths -------------------------------------------------
 #
 # The package builds q(k) and the power-basis Hermite tensor with arrays.
-# These are the symbolic MultiPoly versions it replaced, kept as references
-# for equality tests.
+# These are the symbolic versions it replaced, kept as references for
+# equality tests.  A polynomial in the gains is a dict {exponents:
+# coefficient} without zero terms; sums keep the first operand's terms in
+# order and append new ones, as the package's symbolic arithmetic did, so
+# the references round exactly as it did.
+
+
+def _clean(terms):
+    return {m: c for m, c in terms.items() if c != 0}
+
+
+def padd(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + c
+    return _clean(out)
+
+
+def psub(p, q):
+    return padd(p, {m: -c for m, c in q.items()})
+
+
+def pscale(p, c):
+    return _clean({m: v * c for m, v in p.items()}) if c != 0 else {}
+
+
+def pmul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return _clean(out)
 
 
 def pack_entries(basis, entries, nvars):
-    """Pack a square matrix of MultiPoly entries into a HermiteForm tensor,
+    """Pack a square matrix of dict entries into a HermiteForm tensor,
     monomials in graded order."""
     n = len(entries)
     monos = sorted(
-        {m for row in entries for e in row for m in e.terms},
+        {m for row in entries for e in row for m, c in e.items() if c != 0},
         key=lambda m: (sum(m), m),
     )
     index = {m: t for t, m in enumerate(monos)}
@@ -58,26 +89,33 @@ def pack_entries(basis, entries, nvars):
     C = np.zeros((len(monos), n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            for m, c in entries[i][j].terms.items():
-                C[index[m], i, j] = c
+            for m, c in entries[i][j].items():
+                if c != 0:
+                    C[index[m], i, j] = c
     if not C.imag.any():
         C = C.real.copy()
     return HermiteForm(basis=basis, E=E, C=C)
 
 
 def symbolic_char_poly(sys):
-    """det(sI - A - B K C) by Faddeev-LeVerrier over MultiPoly arithmetic;
-    its q(k) also carries rounding residue outside the gain support."""
+    """det(sI - A - B K C) by Faddeev-LeVerrier in dict arithmetic, one dict
+    per power of s; it also carries rounding residue outside the gain
+    support."""
     A = np.asarray(sys.A, dtype=float)
     B = np.asarray(sys.B, dtype=float)
     C = np.asarray(sys.C, dtype=float)
     n = A.shape[0]
     m, p = B.shape[1], C.shape[0]
     nv = m * p
-    K = [[MultiPoly.variable(j * m + i, nv) for j in range(p)] for i in range(m)]
-    zero = MultiPoly(nv)
+    one = (0,) * nv
 
-    M = [[MultiPoly.constant(A[i, j], nv) for j in range(n)] for i in range(n)]
+    def const(v):
+        return {one: v} if v != 0 else {}
+
+    def gain(a, b):
+        return {tuple(1 if v == b * m + a else 0 for v in range(nv)): 1.0}
+
+    M = [[const(A[i, j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             acc = M[i][j]
@@ -87,61 +125,60 @@ def symbolic_char_poly(sys):
                 for b in range(p):
                     if C[b, j] == 0.0:
                         continue
-                    acc = acc + K[a][b] * (B[i, a] * C[b, j])
+                    acc = padd(acc, pscale(gain(a, b), B[i, a] * C[b, j]))
             M[i][j] = acc
 
     def matmul(X, Y):
-        out = [[zero for _ in range(n)] for _ in range(n)]
+        out = [[{} for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for kk in range(n):
                 x = X[i][kk]
-                if x.is_zero:
+                if not x:
                     continue
                 for j in range(n):
-                    if Y[kk][j].is_zero:
+                    if not Y[kk][j]:
                         continue
-                    out[i][j] = out[i][j] + x * Y[kk][j]
+                    out[i][j] = padd(out[i][j], pmul(x, Y[kk][j]))
         return out
 
     def trace(X):
-        acc = zero
+        acc = {}
         for i in range(n):
-            acc = acc + X[i][i]
+            acc = padd(acc, X[i][i])
         return acc
 
-    coeffs = [zero for _ in range(n + 1)]
-    coeffs[n] = MultiPoly.constant(1.0, nv)
-    Nk = [[MultiPoly.constant(1.0 if i == j else 0.0, nv) for j in range(n)] for i in range(n)]
+    coeffs = [{} for _ in range(n + 1)]
+    coeffs[n] = const(1.0)
+    Nk = [[const(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         MN = matmul(M, Nk)
-        ck = trace(MN) * (-1.0 / k)
+        ck = pscale(trace(MN), -1.0 / k)
         coeffs[n - k] = ck
         if k < n:
-            Nk = [
-                [MN[i][j] + (ck if i == j else zero) for j in range(n)]
-                for i in range(n)
-            ]
-    return PolyInS(coeffs, nvars=nv)
+            Nk = [[padd(MN[i][j], ck if i == j else {}) for j in range(n)] for i in range(n)]
+    return coeffs
 
 
 def symbolic_bezoutian(q):
-    """Power-basis Hermite form of q: the Bezoutian of the imaginary and
-    real parts of q(j*u), built entry by entry in MultiPoly arithmetic."""
-    n = q.degree_actual()
-    pair = split_re_im(q)
-    zero = MultiPoly(q.nvars)
-
-    def coeff(p, i):
-        return p.coeffs[i] if i <= p.n else zero
-
-    ac = [coeff(pair.a, i) for i in range(n + 1)]
-    bc = [coeff(pair.b, i) for i in range(n + 1)]
-    entries = [[zero for _ in range(n)] for _ in range(n)]
+    """Power-basis Hermite form of a CharPoly q: the Bezoutian of the
+    imaginary and real parts of q(j*u), built entry by entry in dict
+    arithmetic.  Every coefficient lists its terms in the order q's
+    monomials first occur scanning the powers of s upward, which fixes the
+    order of each product's sums."""
+    monos = [tuple(e) for e in q.E.tolist()]
+    rows = [_clean(dict(zip(monos, row))) for row in q.Q.tolist()]
+    first = list(dict.fromkeys(m for c in rows for m in c))
+    coeffs = [{m: c[m] for m in first if m in c} for c in rows]
+    n = max(i for i, c in enumerate(coeffs) if c)
+    # q(j*u) = b(u) + j*a(u): odd powers go to a, even ones to b, signed
+    ac = [pscale(c, (-1.0) ** (i // 2)) if i % 2 else {} for i, c in enumerate(coeffs)]
+    bc = [{} if i % 2 else pscale(c, (-1.0) ** (i // 2)) for i, c in enumerate(coeffs)]
+    entries = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = zero
+            acc = {}
             for t in range(min(i, n - 1 - j) + 1):
-                acc = acc + ac[j + 1 + t] * bc[i - t] - ac[i - t] * bc[j + 1 + t]
+                acc = psub(padd(acc, pmul(ac[j + 1 + t], bc[i - t])), pmul(ac[i - t], bc[j + 1 + t]))
             entries[i][j] = acc
             entries[j][i] = acc
     return pack_entries("power", entries, q.nvars)

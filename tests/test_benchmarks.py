@@ -14,8 +14,12 @@ from hermitesof.benchmarks import (
     save_instance,
 )
 from hermitesof.errors import InputError
+from hermitesof.polynomials import MultiPoly
 from hermitesof.solver import SolveConfig
+from hermitesof.stability import TargetSpec
 from hermitesof.systems import SystemInstance
+
+from test_hermite import _planted_plant
 
 
 REG = registry()
@@ -32,13 +36,13 @@ def test_registry_nn6_constant_term():
     q = REG["polys"]["NN6"].q
     c0 = q.coeffs[0]
     assert dict(c0.terms) == {(1, 0, 0, 0): 95113415.0}
-    assert q.degree_actual() == 9
+    assert q.n == 9
 
 
 def test_registry_nn5_constant_term():
     q = REG["polys"]["NN5_openloop"].q
     assert q.coeffs[0].constant_value() == 6.3000000
-    assert q.degree_actual() == 7
+    assert q.n == 7
 
 
 def test_instance_round_trip(tmp_path):
@@ -126,3 +130,27 @@ def test_run_single_error_row_prints_k0_as_a_gain_matrix():
     row = run_single("two-by-two", plant, ExperimentConfig("power", 1e-3, k0=[1.0, 2.0, 3.0]))
     assert row.status == "error: k0 length 3, expected 4"
     assert row.k0 == "[1 2 3]"
+
+
+def test_run_single_builds_no_symbolic_polynomial(monkeypatch):
+    # symbolic polynomials are for display; the solve path runs on arrays
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a MultiPoly was built")
+
+    monkeypatch.setattr(MultiPoly, "__init__", refuse)
+    reg = registry()
+    mirror = TargetSpec(mode="mirror-shift", shift=-0.5)
+    short = SolveConfig(max_outer=2)
+    runs = [
+        ("NN1", reg["systems"]["NN1"], ExperimentConfig("power", 1e-3, k0=[0.0, 30.0])),
+        ("AC4", reg["polys"]["AC4"], ExperimentConfig(
+            "lagrange", 1e-5, k0=[0.0, 0.0], target=reg["targets"]["AC4_shifted"],
+            part="re", solver=short,
+        )),
+        ("planted", _planted_plant(0, 4, 2, 2), ExperimentConfig(
+            "lagrange", 1e-5, k0=[0.0] * 4, target=mirror, part="re", solver=short,
+        )),
+    ]
+    for name, plant, cfg in runs:
+        row = run_single(name, plant, cfg)
+        assert not row.status.startswith("error"), (name, row.status)

@@ -3,6 +3,8 @@
 import json
 import re
 
+import pytest
+
 from hermitesof.cli import main
 
 
@@ -45,6 +47,33 @@ def test_cond_ac4(capsys):
     assert abs(power - 1158.2) <= 1e-3 * 1158.2
     assert abs(scaled - 32.096) <= 1e-3 * 32.096
     assert "scaled-lagrange" in lines
+
+
+def test_cond_nn1_zero_form(capsys):
+    # q(0) = s^3 - 13s has no real part, so the power form is identically
+    # zero and every basis is singular
+    rc = main(["cond", "--fixture", "NN1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    lines = {l.split()[0]: l.split()[-1] for l in out.splitlines() if l.strip()}
+    assert lines["power"] == lines["lagrange"] == lines["scaled-lagrange"] == "inf"
+
+
+# gains of each embedded fixture
+FIXTURE_GAINS = {"NN1": 2, "NN6": 4, "AC4": 2, "AC4_openloop": 0, "NN5_openloop": 0}
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_GAINS))
+def test_display_commands_exit_cleanly_on_every_fixture(fixture, capsys):
+    zero = ",".join(["0"] * FIXTURE_GAINS[fixture])
+    for argv in (
+        ["hermite", "--fixture", fixture, "--basis", "power"],
+        ["hermite", "--fixture", fixture, "--basis", "lagrange", "--target-shift", "-0.5"],
+        ["cond", "--fixture", fixture],
+        ["verify", "--fixture", fixture, "--K", zero],
+    ):
+        assert main(argv) in (0, 1, 2), argv
+        assert "Traceback" not in capsys.readouterr().err, argv
 
 
 def test_verify_unstable_open_loop(capsys):

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, characteristic polynomials, and coefficient splits."""
+"""Characteristic polynomials, numeric polynomials, and coefficient splits."""
 
 from fractions import Fraction
 
@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hermitesof.errors import DegenerateInputError, InputError
 from hermitesof.polynomials import (
     MultiPoly,
-    PolyInS,
     char_poly,
     optimal_rho,
+    poly_from_roots,
     split_re_im,
     vec_gain,
 )
@@ -21,30 +21,15 @@ from conftest import random_numeric_poly, relerr, symbolic_char_poly
 from test_hermite import _planted_plant
 
 
-NV = 3
-
-
-@st.composite
-def multipolys(draw):
-    terms = {}
-    for _ in range(draw(st.integers(0, 5))):
-        mono = tuple(draw(st.integers(0, 2)) for _ in range(NV))
-        terms[mono] = float(draw(st.integers(-4, 4)))
-    return MultiPoly(NV, terms)
-
-
-@settings(max_examples=60, deadline=None)
-@given(multipolys(), multipolys(), multipolys())
-def test_multipoly_ring_laws(p, q, r):
-    assert (p + q) * r == p * r + q * r
-    assert p * q == q * p
-    assert p + q == q + p
+def _val(c, s):
+    """Value at s of the polynomial with ascending coefficients c."""
+    return np.polyval(np.asarray(c)[::-1], s)
 
 
 def test_multipoly_no_zero_terms():
-    p = MultiPoly(2, {(1, 0): 3.0}) - MultiPoly(2, {(1, 0): 3.0})
-    assert p.is_zero
-    assert p.terms == {}
+    p = MultiPoly(2, {(1, 0): 3.0, (0, 1): 0.0, (0, 0): 0.0})
+    assert p.terms == {(1, 0): 3.0}
+    assert MultiPoly(2, {(1, 0): 0.0}).is_zero
 
 
 def _nn1():
@@ -59,12 +44,8 @@ def _nn1():
 def test_char_poly_nn1_closed_form():
     # det(sI - A - BKC) = s^3 + k1 s^2 + (k2 - 5 k1 - 13) s + k2
     q = char_poly(_nn1())
-    k1 = MultiPoly.variable(0, 2)
-    k2 = MultiPoly.variable(1, 2)
-    assert q.coeffs[3] == MultiPoly.constant(1.0, 2)
-    assert q.coeffs[2] == k1
-    assert q.coeffs[1] == k2 - k1 * 5.0 - 13.0
-    assert q.coeffs[0] == k2
+    assert q.E.tolist() == [[0, 0], [1, 0], [0, 1]]  # 1, k1, k2
+    assert q.Q.tolist() == [[0.0, 0.0, 1.0], [-13.0, -5.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
 
 
 def test_char_poly_matches_numeric_determinant(rng):
@@ -82,7 +63,7 @@ def test_char_poly_matches_numeric_determinant(rng):
             k = rng.standard_normal(m * p)
             K = k.reshape((m, p), order="F")
             ref = np.linalg.det(s * np.eye(n) - A - B @ K @ C)
-            val = q.eval(s, k)
+            val = _val(q.at_gains(k), s)
             assert abs(val - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
@@ -121,7 +102,7 @@ def test_char_poly_matches_exact_bareiss(rng):
         s = int(rng.integers(-3, 4))
         M = s * np.eye(n, dtype=int) - A - B @ k.reshape(1, 2) @ C
         exact = _bareiss_det([[Fraction(int(v)) for v in row] for row in M])
-        val = q.eval(float(s), k.astype(float))
+        val = _val(q.at_gains(k.astype(float)), float(s))
         assert abs(val - float(exact)) <= 1e-9 * (1.0 + abs(float(exact)))
 
 
@@ -130,10 +111,10 @@ def test_char_poly_no_input_is_gain_free(rng):
     A = rng.standard_normal((n, n))
     sys = SystemInstance(name="nofb", A=A, B=np.zeros((n, 2)), C=np.eye(n)[:1])
     q = char_poly(sys)
-    assert all(c.is_constant for c in q.coeffs)
+    assert not q.Q[:, 1:].any()  # the constant is the first support row
     ref = np.poly(A)[::-1]
-    for i, c in enumerate(q.coeffs):
-        assert abs(c.constant_value() - ref[i]) <= 1e-9 * (1.0 + abs(ref[i]))
+    for i, c in enumerate(q.Q[:, 0]):
+        assert abs(c - ref[i]) <= 1e-9 * (1.0 + abs(ref[i]))
 
 
 def _on_support(mono, m):
@@ -157,10 +138,9 @@ def test_char_poly_support_is_multi_affine(n, m, p, seed):
         C=rng.standard_normal((p, n)),
     )
     q = char_poly(sys)
-    for c in q.coeffs:
-        for mono in c.terms:
-            assert _on_support(mono, m), mono
-            assert sum(mono) <= min(m, p, n), mono
+    for mono in map(tuple, q.E[q.Q.any(axis=0)].tolist()):
+        assert _on_support(mono, m), mono
+        assert sum(mono) <= min(m, p, n), mono
 
 
 def test_char_poly_equals_symbolic_reference_on_support():
@@ -172,12 +152,14 @@ def test_char_poly_equals_symbolic_reference_on_support():
     ]
     for sys in plants:
         q, ref = char_poly(sys), symbolic_char_poly(sys)
-        for c, r in zip(q.coeffs, ref.coeffs):
-            on = {mono: v for mono, v in r.terms.items() if _on_support(mono, sys.m)}
-            assert c.terms == on
-            assert list(c.terms) == list(on)
-            scale = max(abs(v) for v in r.terms.values())
-            for mono, v in r.terms.items():
+        monos = [tuple(e) for e in q.E.tolist()]
+        for row, r in zip(q.Q, ref):
+            on = {mono: v for mono, v in r.items() if _on_support(mono, sys.m)}
+            got = {monos[t]: row[t] for t in np.flatnonzero(row)}
+            assert got == on
+            assert list(got) == list(on)
+            scale = max(abs(v) for v in r.values())
+            for mono, v in r.items():
                 if mono not in on:
                     assert abs(v) <= 1e-12 * scale, mono
 
@@ -190,83 +172,52 @@ def test_system_dimension_mismatch():
 
 
 def test_split_re_im_pure_even():
-    pair = split_re_im(PolyInS.from_numeric([1.0, 0.0, 1.0]))  # s^2 + 1
-    assert all(c.is_zero for c in pair.a.coeffs)
-    ref = [1.0, 0.0, -1.0]
-    for i, c in enumerate(pair.b.coeffs):
-        assert c.constant_value() == ref[i]
+    a, b = split_re_im(np.array([1.0, 0.0, 1.0]))  # s^2 + 1
+    assert not a.any()
+    assert b.tolist() == [1.0, 0.0, -1.0]
 
 
 def test_split_re_im_cubic_symbolic():
-    # q = s^3 + q2 s^2 + q1 s + q0 -> a = -u^3 + q1 u, b = -q2 u^2 + q0
+    # q = s^3 + q2 s^2 + q1 s + q0 -> a = -u^3 + q1 u, b = -q2 u^2 + q0,
+    # split row by row on q's coefficient matrix
     q = char_poly(_nn1())
-    pair = split_re_im(q)
-    assert pair.a.coeffs[3] == MultiPoly.constant(-1.0, 2)
-    assert pair.a.coeffs[1] == q.coeffs[1]
-    assert pair.a.coeffs[0].is_zero and pair.a.coeffs[2].is_zero
-    assert pair.b.coeffs[2] == -q.coeffs[2]
-    assert pair.b.coeffs[0] == q.coeffs[0]
-    assert pair.b.coeffs[1].is_zero and pair.b.coeffs[3].is_zero
+    a, b = split_re_im(q.Q)
+    assert np.array_equal(a[3], -q.Q[3])
+    assert np.array_equal(a[1], q.Q[1])
+    assert not a[0].any() and not a[2].any()
+    assert np.array_equal(b[2], -q.Q[2])
+    assert np.array_equal(b[0], q.Q[0])
+    assert not b[1].any() and not b[3].any()
 
 
 def test_split_re_im_reconstruction(rng):
     for _ in range(30):
         deg = int(rng.integers(1, 10))
         q = random_numeric_poly(rng, deg)
-        pair = split_re_im(q)
+        a, b = split_re_im(q)
         for u in rng.standard_normal(20):
-            lhs = q.eval(1j * u)
-            rhs = pair.b.eval(u) + 1j * pair.a.eval(u)
+            lhs = _val(q, 1j * u)
+            rhs = _val(b, u) + 1j * _val(a, u)
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
-def test_eval_symbolic_constant_term():
-    k2 = MultiPoly.variable(1, 2)
-    nv2 = MultiPoly(2)
-    q = PolyInS([k2, nv2, nv2, MultiPoly.constant(1.0, 2)], nvars=2)
-    assert q.eval(0.0, None) == k2
-
-
 def test_eval_at_root():
-    a = PolyInS.from_numeric([0.0, 11.0, 0.0, -1.0])  # -u^3 + 11u
-    assert abs(a.eval(np.sqrt(11.0))) <= 1e-9
-
-
-def test_differentiate_power_rule():
-    q = char_poly(_nn1())
-    a = split_re_im(q).a
-    da = a.diff()  # -3u^2 + q1
-    assert da.coeffs[2] == MultiPoly.constant(-3.0, 2)
-    assert da.coeffs[0] == q.coeffs[1]
-    assert abs(da.at_gains([0.0, 0.0]).eval(0.0) - (-13.0)) <= 1e-12
-
-
-def test_differentiate_beyond_degree():
-    p = PolyInS.from_numeric([1.0, 2.0, 3.0])
-    d3 = p.diff(order=3)
-    assert all(c.is_zero for c in d3.coeffs)
-
-
-def test_differentiate_matches_finite_differences(rng):
-    h = 1e-5
-    for _ in range(20):
-        p = random_numeric_poly(rng, int(rng.integers(1, 9)))
-        dp = p.diff()
-        for u in rng.uniform(-1.0, 1.0, 5):
-            fd = (p.eval(u + h) - p.eval(u - h)) / (2.0 * h)
-            assert abs(dp.eval(u) - fd) <= 1e-5 * (1.0 + abs(fd))
+    # the imaginary part of (s+1)(s+2)(s+3) is -u^3 + 11u
+    a, _ = split_re_im(poly_from_roots([-1.0, -2.0, -3.0]))
+    assert np.allclose(a, [0.0, 11.0, 0.0, -1.0], rtol=0.0, atol=1e-12)
+    assert abs(_val(a, np.sqrt(11.0))) <= 1e-9
 
 
 def test_optimal_rho_values():
-    ac4 = PolyInS.from_numeric([-66.837750, -1330.6306, 130.03210, 150.92600, 1.0])
+    ac4 = np.array([-66.837750, -1330.6306, 130.03210, 150.92600, 1.0])
     assert relerr(optimal_rho(ac4), 0.35000) <= 1e-3
-    assert optimal_rho(PolyInS.from_numeric([1.0, 0.3, 1.0])) == 1.0
-    assert optimal_rho(PolyInS.from_numeric([4.0, 0.0, 1.0])) == 0.5
+    assert optimal_rho(np.array([1.0, 0.3, 1.0])) == 1.0
+    assert optimal_rho(np.array([4.0, 0.0, 1.0])) == 0.5
 
 
 def test_optimal_rho_rejects_zero_endpoints():
     with pytest.raises(DegenerateInputError):
-        optimal_rho(PolyInS.from_numeric([0.0, 1.0, 1.0]))
+        optimal_rho(np.array([0.0, 1.0, 1.0]))
 
 
 def test_vec_gain_column_stacking():

@@ -9,7 +9,7 @@ from hermitesof import solver
 from hermitesof.benchmarks import registry, run_single, table1_suite
 from hermitesof.errors import BarrierDomainError, InputError
 from hermitesof.hermite import hermite_power, scaled_hermite
-from hermitesof.polynomials import MultiPoly, char_poly
+from hermitesof.polynomials import char_poly
 from hermitesof.solver import (
     SofProgram,
     SolveConfig,
@@ -36,9 +36,7 @@ AC4 = REG["polys"]["AC4"].q
 def _const_form(M):
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    entries = [
-        [MultiPoly.constant(M[i, j], 0) for j in range(n)] for i in range(n)
-    ]
+    entries = [[{(): M[i, j]} for j in range(n)] for i in range(n)]
     return pack_entries("power", entries, 0)
 
 
@@ -56,7 +54,7 @@ def _random_form(rng, n, nvars):
                     for i in range(nvars)
                 )
                 terms[mono] = float(rng.standard_normal())
-        return MultiPoly(nvars, terms)
+        return terms
 
     entries = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -75,8 +73,38 @@ def _ac4_scaled_program():
 
 def _k_squared_program():
     # H = [[-1 - k^2]] can never reach positive definiteness
-    entries = [[MultiPoly(1, {(0,): -1.0, (2,): -1.0})]]
+    entries = [[{(0,): -1.0, (2,): -1.0}]]
     return SofProgram(pack_entries("power", entries, 1), mu=0.0, m=1, p=1)
+
+
+# -- input checks -------------------------------------------------------------
+
+
+def _refuse_evaluation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the objective was evaluated")
+
+    monkeypatch.setattr(solver, "augmented_objective", refuse)
+
+
+def test_solve_rejects_a_start_outside_the_gain_box(monkeypatch):
+    prog = SofProgram(hermite_power(char_poly(NN1)), mu=1e-3, m=1, p=2)
+    _refuse_evaluation(monkeypatch)
+    with pytest.raises(InputError, match="k0 entry 20000 .* 10000"):
+        solve_sof(prog, SolveConfig(k0=[0.0, 2e4]))
+
+
+def test_solve_rejects_a_start_outside_the_barrier_domain(monkeypatch):
+    prog = SofProgram(hermite_power(char_poly(NN1)), mu=1e-3, m=1, p=2)
+    bound = float(np.linalg.eigvalsh(prog.h_eval([0.0, 30.0])).min()) + SolveConfig().p0
+    _refuse_evaluation(monkeypatch)
+    with pytest.raises(InputError, match=f"lam0 1000000 .* = {bound:.8g}"):
+        solve_sof(prog, SolveConfig(k0=[0.0, 30.0], lam0=1e6))
+
+
+def test_program_rejects_a_negative_mu():
+    with pytest.raises(InputError, match="mu -1 "):
+        SofProgram(hermite_power(char_poly(NN1)), mu=-1.0, m=1, p=2)
 
 
 # -- derivatives ------------------------------------------------------------
@@ -202,9 +230,9 @@ def test_shared_monomial_pass_is_bitwise_equal_to_per_block_path(rng):
     mirror = TargetSpec(mode="mirror-shift", shift=-0.5)
     plant = _planted_plant(2, 4, 2, 2)
     q_plant = char_poly(plant)
-    k1_only = MultiPoly(2, {(0, 0): 1.0, (2, 0): 1.0})
-    entries = [[k1_only, MultiPoly(2, {(1, 0): 1.0})],
-               [MultiPoly(2, {(1, 0): 1.0}), MultiPoly(2, {(0, 0): 2.0, (1, 0): -1.0})]]
+    k1_only = {(0, 0): 1.0, (2, 0): 1.0}
+    entries = [[k1_only, {(1, 0): 1.0}],
+               [{(1, 0): 1.0}, {(0, 0): 2.0, (1, 0): -1.0}]]
     programs = [
         SofProgram(hermite_power(char_poly(NN1)), mu=1e-4, m=1, p=2),
         _ac4_scaled_program(),
