@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HermiteSofError, InputError
-from .hermite import hermite_power, scaled_hermite
+from .hermite import HermiteForm, hermite_power, scaled_hermite
 from .polynomials import CharPoly, char_poly, gain_support
 from .solver import SofProgram, SolveConfig, SolveReport, solve_sof, verify_solution
 from .stability import TargetSpec, build_target, roots
@@ -284,25 +284,36 @@ def _fmt_vec(v) -> str:
     return "[" + "; ".join(rows) + "]"
 
 
+def target_poly(q, target: TargetSpec) -> np.ndarray:
+    """Coefficients of the target polynomial for q (a CharPoly, or a
+    coefficient array as a polynomial in no gains): the spec's explicit
+    roots, or q's poles at the zero gain mirrored by the spec's shift."""
+    if target.mode == "explicit-roots":
+        return build_target([], target)
+    open_loop = q.at_gains(np.zeros(q.nvars)) if isinstance(q, CharPoly) else q
+    return build_target(roots(open_loop), target)
+
+
+def hermite_form(q, basis: str, target: TargetSpec | None, part: str) -> HermiteForm:
+    """The Hermite form of q that a solve or a display uses: the power form,
+    or for "lagrange" the Lagrange form over the nodes of the target's
+    `part`, scaled by the target's own form."""
+    if basis == "power":
+        return hermite_power(q)
+    if basis != "lagrange":
+        raise InputError(f"unknown basis {basis!r}")
+    if target is None:
+        raise InputError("lagrange basis requires a target spec")
+    return scaled_hermite(q, target_poly(q, target), part=part)
+
+
 def run_single(name: str, plant, cfg: ExperimentConfig) -> ExperimentRow:
     q, m, p = _sym_poly(plant)
     k0 = np.zeros(m * p) if cfg.k0 is None else np.asarray(cfg.k0, dtype=float)
     # a k0 of the wrong length is reported in the error row as given
     k0_text = _fmt_vec(k0.reshape((m, p), order="F") if k0.size == m * p else k0)
     try:
-        if cfg.basis == "power":
-            H = hermite_power(q)
-        elif cfg.basis == "lagrange":
-            if cfg.target is None:
-                raise InputError("lagrange basis requires a target spec")
-            if cfg.target.mode == "explicit-roots":
-                target = build_target([], cfg.target)
-            else:
-                open_poles = roots(q.at_gains(np.zeros(m * p)))
-                target = build_target(open_poles, cfg.target)
-            H = scaled_hermite(q, target, part=cfg.part)
-        else:
-            raise InputError(f"unknown basis {cfg.basis!r}")
+        H = hermite_form(q, cfg.basis, cfg.target, cfg.part)
         prog = SofProgram(H, mu=cfg.mu, m=m, p=p)
         scfg = dataclasses.replace(cfg.solver or SolveConfig(), k0=k0, lam0=cfg.lam0)
         report = solve_sof(prog, scfg)

@@ -2,7 +2,7 @@
 solve the output-feedback program, verify gains, and run benchmark suites.
 
 Exit codes: 0 success (solve: converged and verified stable), 1 solver
-non-convergence or unstable gain, 2 input error.
+non-convergence or unstable gain, 2 input error (solve: also an `error:` row).
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ import numpy as np
 from .benchmarks import (
     ExperimentConfig,
     get_plant,
+    hermite_form,
     rows_to_csv,
     rows_to_text,
     run_experiment,
     run_single,
     table1_suite,
     table2_suite,
+    target_poly,
     _sym_poly,
 )
 from .errors import HermiteSofError, InputError
@@ -32,12 +34,11 @@ from .hermite import (
     hermite_lagrange,
     hermite_power,
     power_scale,
-    scaled_hermite,
     scaling_from_numeric,
 )
 from .polynomials import optimal_rho
-from .solver import SofProgram, SolveConfig, solve_sof, verify_solution
-from .stability import TargetSpec, build_target, nodes_from_target, roots
+from .solver import SolveConfig, verify_solution
+from .stability import TargetSpec, nodes_from_target
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -62,13 +63,6 @@ def _target_spec(args) -> TargetSpec | None:
     return None
 
 
-def _resolve_target(open_loop, spec: TargetSpec):
-    """Target coefficients from the spec and the open-loop coefficients."""
-    if spec.mode == "explicit-roots":
-        return build_target([], spec)
-    return build_target(roots(open_loop), spec)
-
-
 def _default_part(args, q) -> str:
     if getattr(args, "part", None):
         return args.part
@@ -86,15 +80,13 @@ def _suite_defaults(name: str, basis: str) -> ExperimentConfig | None:
 
 def cmd_hermite(args) -> int:
     plant = get_plant(args.fixture)
-    q, m, p = _sym_poly(plant)
-    if args.basis == "power":
-        H = hermite_power(q)
-    else:
+    q, _, _ = _sym_poly(plant)
+    spec = None
+    if args.basis == "lagrange":
         spec = _target_spec(args)
         if spec is None:
             raise InputError("lagrange basis needs --roots or --target-shift")
-        target = _resolve_target(q.at_gains(np.zeros(q.nvars)), spec)
-        H = scaled_hermite(q, target, part=_default_part(args, q))
+    H = hermite_form(q, args.basis, spec, _default_part(args, q))
     entries = {
         f"{i},{j}": str(H.entry(i, j))
         for i in range(1, H.n + 1)
@@ -126,8 +118,7 @@ def cmd_cond(args) -> int:
     part = _default_part(args, q)
     c = q.at_gains(_parse_floats(args.K) if args.K and q.nvars else np.zeros(q.nvars))
     rows: list[tuple[str, str]] = []
-    hp = hermite_power(c)
-    Mp = np.asarray(hp.eval_at(), dtype=float)
+    Mp = hermite_power(c).eval_at()
     rows.append(("power", f"{cond_frobenius(Mp):.8g}"))
     try:
         rho = optimal_rho(c)
@@ -138,13 +129,13 @@ def cmd_cond(args) -> int:
         rows.append(("power-scaled", f"n/a ({exc})"))
     spec = _target_spec(args)
     try:
-        target = _resolve_target(c, spec) if spec is not None else c
+        target = target_poly(c, spec) if spec is not None else c
         nodes = nodes_from_target(target, part=part)
         hl = hermite_lagrange(c, nodes)
-        Ml = np.asarray(hl.eval_at(), dtype=float)
+        Ml = hl.eval_at()
         rows.append(("lagrange", f"{cond_frobenius(Ml):.8g}"))
         S = scaling_from_numeric(Ml, nodes)
-        Ms = np.asarray(apply_scaling(hl, S).eval_at(), dtype=float)
+        Ms = apply_scaling(hl, S).eval_at()
         rows.append(("scaled-lagrange", f"{cond_frobenius(Ms):.8g}"))
     except HermiteSofError as exc:
         rows.append(("lagrange", f"n/a ({exc})"))
@@ -189,6 +180,8 @@ def cmd_solve(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(rows_to_csv([row]) + "\n")
+    if row.status.startswith("error:"):
+        return 2
     return 0 if row.status == "converged" and row.stable else 1
 
 

@@ -118,9 +118,9 @@ class HermiteForm:
     """Hermite matrix H(k) = sum_t k**E[t] * C[t] with basis metadata.
 
     E (T x nvars, int) holds the exponents of the monomials that occur, in
-    graded order, and C (T x n x n) their coefficient matrices: real, and
-    complex only for mode="hermitian" Lagrange forms.  Polynomial entries
-    are built from the tensor only on request, for display.
+    graded order, and C (T x n x n) their real coefficient matrices.
+    Polynomial entries are built from the tensor only on request, for
+    display.
     """
 
     basis: str  # "power" | "lagrange" | "scaled-lagrange"
@@ -145,12 +145,7 @@ class HermiteForm:
         k = np.asarray(k, dtype=float)
         if k.shape != (self.nvars,):
             raise InputError(f"gain vector length {k.size}, expected {self.nvars}")
-        out = eval_terms(self.E, self.C, k)
-        if np.iscomplexobj(out) and np.max(np.abs(out.imag)) <= 1e-12 * max(
-            1.0, np.max(np.abs(out))
-        ):
-            return out.real
-        return out
+        return eval_terms(self.E, self.C, k)
 
     def entry(self, i: int, j: int) -> MultiPoly:
         """1-based entry accessor matching the display convention."""
@@ -186,7 +181,7 @@ def _terms(q) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermite_power(q) -> HermiteForm:
-    """Hermite matrix of q (a CharPoly or a numeric coefficient array) in
+    """Hermite matrix of q (a CharPoly or a real coefficient array) in
     the power basis: the Bezoutian of the imaginary part a and the real
     part b of q(j*u), the n-by-n quadratic form of
     (a(u)b(v) - a(v)b(u)) / (u - v), built from q's coefficient matrix over
@@ -216,22 +211,20 @@ def hermite_power(q) -> HermiteForm:
 
     def product(x, y):
         # per row: sum over monomial pairs of x[t1] * y[t2]
-        out = np.zeros((len(x), len(E)), dtype=a.dtype)
+        out = np.zeros((len(x), len(E)))
         prods = (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
         np.add.at(out, (np.arange(len(x))[:, None], pidx), prods)
         return out
 
     ii, jj = np.triu_indices(n)
-    acc = np.zeros((len(ii), len(E)), dtype=a.dtype)
+    acc = np.zeros((len(ii), len(E)))
     for t in range((n + 1) // 2):
         sel = np.flatnonzero(t <= np.minimum(ii, n - 1 - jj))
         i, j = ii[sel], jj[sel]
         acc[sel] = acc[sel] + product(a[j + 1 + t], b[i - t]) - product(a[i - t], b[j + 1 + t])
-    C = np.zeros((len(E), n, n), dtype=a.dtype)
+    C = np.zeros((len(E), n, n))
     C[:, ii, jj] = acc.T
     C[:, jj, ii] = acc.T
-    if np.iscomplexobj(C) and not C.imag.any():
-        C = C.real.copy()
     keep = acc.any(axis=0)
     return HermiteForm(basis="power", E=E[keep], C=C[keep])
 
@@ -251,30 +244,30 @@ def _node_weights(nodes: NodeSet, n: int, conjugate: bool) -> np.ndarray:
     return W
 
 
-def hermite_lagrange(q, nodes: NodeSet, mode: str = "symmetric") -> HermiteForm:
-    """Hermite matrix of q in the Lagrange basis over the given nodes.
+def hermite_lagrange(q, nodes: NodeSet) -> HermiteForm:
+    """Hermite matrix of q in the Lagrange basis over the given nodes: the
+    node-weight congruence W* H^P W of the power form, where column j of W
+    is the r_j-th normalized derivative of (1, u, ..., u^(n-1)) at node u_j
+    and r_j counts the earlier copies of a repeated node (W is the
+    Vandermonde matrix V for distinct nodes).
 
-    Distinct nodes follow the divided-difference rule with the derivative
-    branch on conjugate collisions; repeated nodes take normalized higher
-    derivatives (mixed multiplicities combine both).  In "symmetric" mode
-    nodes must be real or purely imaginary conjugate pairs and the result
-    is a real symmetric polynomial matrix; "hermitian" mode accepts general
-    complex nodes but only for numeric polynomials.
+    Nodes must be real or purely imaginary conjugate pairs.  The product is
+    taken in complex arithmetic; an imaginary part above a threshold raises
+    DegenerateInputError, and the real part is returned as a real symmetric
+    form.  That is W* H^P W itself when the nodes are all real or all
+    imaginary.  With both kinds, the entries coupling them have a genuine
+    imaginary part that the threshold, scaled by max|u|^(2(n-1)), can let
+    pass: the result is then Re(V* H^P V), whose positive definiteness is
+    necessary for that of V* H^P V but not sufficient.
     """
-    E, Q = _terms(q)
+    _, Q = _terms(q)
     n = poly_degree(Q)
     if len(nodes) != n:
         raise InputError(f"need {n} nodes, got {len(nodes)}")
-    if mode == "symmetric":
-        if any(k == "complex" for k in nodes.kinds):
-            raise UnsupportedNodeError(
-                "general complex nodes are not allowed in symmetric-real mode"
-            )
-    elif mode == "hermitian":
-        if E[Q.any(axis=0)].any():
-            raise InputError("hermitian mode requires a numeric polynomial")
-    else:
-        raise InputError(f"unknown mode {mode!r}")
+    if any(k == "complex" for k in nodes.kinds):
+        raise UnsupportedNodeError(
+            "general complex nodes are not allowed in the real symmetric form"
+        )
 
     HP = hermite_power(q)
     Wrow = _node_weights(nodes, n, conjugate=True)
@@ -293,19 +286,18 @@ def hermite_lagrange(q, nodes: NodeSet, mode: str = "symmetric") -> HermiteForm:
     for p in range(n):
         for r in range(n):
             CL += HP.C[:, p, r, None, None] * W[p, r]
-    if mode == "symmetric":
-        scale = float(np.abs(HP.C).max(initial=0.0))
-        node_mag = max((abs(u) for u in nodes.values), default=0.0)
-        chop = 1e-10 * max(1.0, scale) * max(1.0, node_mag) ** (2 * (n - 1))
-        upper = np.triu(np.ones((n, n), dtype=bool))
-        bad = np.argwhere(((np.abs(CL.imag) > chop) & upper).transpose(1, 2, 0))
-        if bad.size:
-            i, j, t = bad[0]
-            raise DegenerateInputError(
-                f"coefficient {CL[t, i, j]} of monomial {tuple(HP.E[t].tolist())} "
-                "has non-negligible imaginary part"
-            )
-        CL = np.where(upper, CL.real, CL.real.transpose(0, 2, 1))
+    scale = float(np.abs(HP.C).max(initial=0.0))
+    node_mag = max((abs(u) for u in nodes.values), default=0.0)
+    chop = 1e-10 * max(1.0, scale) * max(1.0, node_mag) ** (2 * (n - 1))
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    bad = np.argwhere(((np.abs(CL.imag) > chop) & upper).transpose(1, 2, 0))
+    if bad.size:
+        i, j, t = bad[0]
+        raise DegenerateInputError(
+            f"coefficient {CL[t, i, j]} of monomial {tuple(HP.E[t].tolist())} "
+            "has non-negligible imaginary part"
+        )
+    CL = np.where(upper, CL.real, CL.real.transpose(0, 2, 1))
     keep = CL.reshape(len(CL), n * n).any(axis=1)
     return HermiteForm(basis="lagrange", E=HP.E[keep], C=CL[keep], nodes=nodes)
 
@@ -316,7 +308,7 @@ def congruence_check(q, nodes: NodeSet) -> float:
     numeric coefficient array q."""
     HP = hermite_power(q).eval_at()
     n = len(HP)
-    HL = hermite_lagrange(q, nodes, mode="hermitian").eval_at()
+    HL = hermite_lagrange(q, nodes).eval_at()
     V = np.vander(np.asarray(nodes.values, dtype=complex), N=n, increasing=True).T
     ref = V.conj().T @ HP @ V
     return float(np.max(np.abs(HL - ref)))
@@ -325,26 +317,14 @@ def congruence_check(q, nodes: NodeSet) -> float:
 # -- scaling ---------------------------------------------------------------
 
 
-def scaling_from_numeric(H: np.ndarray, nodes: NodeSet | None = None) -> ScalingDiag:
-    """Diagonal S with S_ii = |h_i|**-0.5 where h_i is the governing block
-    entry of row i (diagonal for 1x1 blocks, off-diagonal for 2x2 blocks)."""
+def scaling_from_numeric(H: np.ndarray, nodes: NodeSet) -> ScalingDiag:
+    """Diagonal S with S_ii = |h_i|**-0.5 where h_i is the governing entry
+    of row i's block in the node pattern (the diagonal for a real node, the
+    off-diagonal for a conjugate pair)."""
     H = np.asarray(H)
-    n = H.shape[0]
-    if nodes is not None:
-        blocks = nodes.blocks()
-    else:
-        blocks = []
-        i = 0
-        while i < n:
-            if i + 1 < n and abs(H[i, i + 1]) > max(abs(H[i, i]), abs(H[i + 1, i + 1])):
-                blocks.append((i, 2))
-                i += 2
-            else:
-                blocks.append((i, 1))
-                i += 1
-    values = np.ones(n)
+    values = np.ones(H.shape[0])
     warning = False
-    for start, size in blocks:
+    for start, size in nodes.blocks():
         h = H[start, start] if size == 1 else H[start, start + 1]
         if h == 0:
             warning = True

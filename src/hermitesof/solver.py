@@ -39,7 +39,7 @@ class SofProgram:
             self.p = self.mp // self.m
         if self.m * self.p != self.mp:
             raise InputError("m*p must equal the gain-variable count")
-        E, C = self.H.E, self.H.C.real
+        E, C = self.H.E, self.H.C
         n = self.H.n
         # H, then dH/dk_l: the monomials with k_l in them, that exponent
         # lowered by one and the coefficient multiplied by it
@@ -75,6 +75,16 @@ class SofProgram:
         return out
 
 
+# the convergence, line-search and penalty constants of the method
+TOL_FEAS = 1e-6  # largest constraint violation max eig(-G) at a converged point
+TOL_STAT = 1e-3  # outer stationarity test ||grad|| <= TOL_STAT * (1 + |f|)
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+MAX_LINESEARCH = 60
+P_MIN = 1e-12  # floor of the penalty parameter
+STALL_WINDOW = 10  # outer iterations with lambda pinned <= 0 before giving up
+
+
 @dataclass
 class SolveConfig:
     k0: np.ndarray | list | None = None
@@ -83,21 +93,13 @@ class SolveConfig:
     sigma: float = 0.3
     tol_outer: float = 1e-7
     tol_inner: float = 1e-6
-    tol_feas: float = 1e-6
-    tol_stat: float = 1e-3
     max_outer: int = 50
     max_inner: int = 100
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_linesearch: int = 60
-    p_min: float = 1e-12
-    stall_window: int = 10
     # gains are boxed to |k_i| <= k_bound so programs whose margin grows
     # without bound (e.g. a diagonal entry linear in a gain) still admit a
     # KKT point; the box is handled with the same shifted penalty
     k_bound: float = 1e4
     u0: float | None = None  # initial multiplier U = u0*I; default 1/n
-    trace: list | None = None  # per-outer (lam, min_eig, f) records, if a list
 
 
 @dataclass
@@ -111,6 +113,8 @@ class SolveReport:
     min_eig: float = float("nan")
     objective: float = float("nan")
     k: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # one (lam, min eig of G = H(k) - lam*I, f) triple per outer iteration
+    history: list = field(default_factory=list)
 
 
 def constraint_eval(prog: SofProgram, x) -> tuple[np.ndarray, np.ndarray]:
@@ -199,25 +203,25 @@ def augmented_objective(
     return val, grad
 
 
-def _armijo(fun_grad, x, f, d, slope, cfg: SolveConfig):
+def _armijo(fun_grad, x, f, d, slope):
     """Backtracking line search along d from x, where f = fun_grad(x)[0]
     and slope is the directional derivative; points outside the barrier
     domain count as trials and are backtracked from.
 
     Returns (step, f, g, trials) at the accepted point, with f and g None
-    when no step passes the Armijo test within cfg.max_linesearch trials.
+    when no step passes the Armijo test within MAX_LINESEARCH trials.
     """
     step = 1.0
-    for trials in range(1, cfg.max_linesearch + 1):
+    for trials in range(1, MAX_LINESEARCH + 1):
         try:
             f_try, g_try = fun_grad(x + step * d)
         except BarrierDomainError:
-            step *= cfg.backtrack
+            step *= BACKTRACK
             continue
-        if f_try <= f + cfg.armijo_c * step * slope:
+        if f_try <= f + ARMIJO_C * step * slope:
             return step, f_try, g_try, trials
-        step *= cfg.backtrack
-    return step, None, None, cfg.max_linesearch
+        step *= BACKTRACK
+    return step, None, None, MAX_LINESEARCH
 
 
 def _fd_hessian(fun_grad, x, g):
@@ -244,7 +248,7 @@ def _fd_hessian(fun_grad, x, g):
     return 0.5 * (H + H.T)
 
 
-def _newton_inner(fun_grad, x0, f, g, tol, max_iter, cfg: SolveConfig):
+def _newton_inner(fun_grad, x0, f, g, tol, max_iter):
     """Damped Newton minimization from x0 with f, g = fun_grad(x0) given; the
     Hessian is finite-differenced from the analytic gradient and modified
     to be positive definite.  Stops when ||g|| <= tol*(1 + |f|).
@@ -265,7 +269,7 @@ def _newton_inner(fun_grad, x0, f, g, tol, max_iter, cfg: SolveConfig):
         if slope >= 0:
             d = -g
             slope = float(g @ d)
-        step, f_new, g_new, tries = _armijo(fun_grad, x, f, d, slope, cfg)
+        step, f_new, g_new, tries = _armijo(fun_grad, x, f, d, slope)
         trials += tries
         iters += 1
         if f_new is None:
@@ -310,6 +314,7 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
     fails = 0
     stall = 0
     status = "max-iters"
+    history = []
 
     for outer in range(1, cfg.max_outer + 1):
         fun = lambda xx: augmented_objective(
@@ -317,7 +322,7 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         )
         f, g = fun(x)
         x, _, g, iters, trials, failed = _newton_inner(
-            fun, x, f, g, cfg.tol_inner, cfg.max_inner, cfg
+            fun, x, f, g, cfg.tol_inner, cfg.max_inner
         )
         inner_total += iters
         ls_total += trials
@@ -327,8 +332,7 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         viol = max(0.0, float(w.max()))
         f, _ = _objective(prog, x)
         lam = x[-1]
-        if cfg.trace is not None:
-            cfg.trace.append((float(lam), float(-w.max()), float(f)))
+        history.append((float(lam), float(-w.max()), float(f)))
 
         # spectral multiplier update: congruence with phi'(Z)^(1/2)
         W = Q @ np.diag(np.sqrt(_phi_prime(w, p))) @ Q.T
@@ -341,13 +345,13 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
 
         gnorm = float(np.linalg.norm(g))
         if (
-            gnorm <= cfg.tol_stat * (1.0 + abs(f))
+            gnorm <= TOL_STAT * (1.0 + abs(f))
             and abs(f - prev_f) <= cfg.tol_outer * (1.0 + abs(f))
-            and viol <= cfg.tol_feas
+            and viol <= TOL_FEAS
         ):
             # a stationary point without strict feasibility, min eig H(k) =
             # lam - max eig(-G) <= 0, is not a stabilizing gain: the
-            # violation tolerance lets lam exceed min eig H(k) by tol_feas
+            # violation tolerance lets lam exceed min eig H(k) by TOL_FEAS
             status = "converged" if lam - w.max() > 1e-9 else "infeasible-stall"
             break
 
@@ -362,7 +366,7 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         # strict feasibility stall: lambda pinned at / below zero
         if lam <= 1e-9 and abs(f - prev_f) <= cfg.tol_outer * (1.0 + abs(f)):
             stall += 1
-            if stall >= cfg.stall_window:
+            if stall >= STALL_WINDOW:
                 status = "infeasible-stall"
                 break
         else:
@@ -371,8 +375,8 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         # shrink the penalty when the constraint violation stops improving,
         # keeping it above the current violation to preserve the domain
         box_viol = float(z.max()) if mp > 0 else 0.0
-        if viol > cfg.tol_feas and viol > 0.1 * prev_viol:
-            p = max(cfg.sigma * p, 1.2 * viol, 1.2 * box_viol, cfg.p_min)
+        if viol > TOL_FEAS and viol > 0.1 * prev_viol:
+            p = max(cfg.sigma * p, 1.2 * viol, 1.2 * box_viol, P_MIN)
         prev_f = f
         prev_viol = viol if viol > 0 else prev_viol
 
@@ -392,6 +396,7 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         min_eig=min_eig,
         objective=f,
         k=np.asarray(k),
+        history=history,
     )
 
 

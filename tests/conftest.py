@@ -86,14 +86,12 @@ def pack_entries(basis, entries, nvars):
     )
     index = {m: t for t, m in enumerate(monos)}
     E = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
-    C = np.zeros((len(monos), n, n), dtype=complex)
+    C = np.zeros((len(monos), n, n))
     for i in range(n):
         for j in range(n):
             for m, c in entries[i][j].items():
                 if c != 0:
                     C[index[m], i, j] = c
-    if not C.imag.any():
-        C = C.real.copy()
     return HermiteForm(basis=basis, E=E, C=C)
 
 

@@ -91,6 +91,15 @@ def test_solve_nn1_power(capsys):
     assert "converged" in out
 
 
+@pytest.mark.parametrize("flags", [["--K0", "0,2e4"], ["--mu", "-1"]])
+def test_solve_input_error_row_exits_2(flags, capsys):
+    # run_single turns these input errors into an error row; exit 1 is
+    # reserved for non-convergence
+    rc = main(["solve", "--fixture", "NN1", "--basis", "power"] + flags)
+    assert "error:" in capsys.readouterr().out
+    assert rc == 2
+
+
 def test_bench_table2_skips_without_data(capsys, tmp_path):
     out_path = tmp_path / "t2.csv"
     rc = main(["bench", "--suite", "table2", "--format", "csv", "--out", str(out_path)])

@@ -244,7 +244,7 @@ def test_hermite_lagrange_rejects_general_complex_nodes():
     q = np.array([2.0, 2.0, 1.0])
     nodes = NodeSet.from_values([1.0 + 1.0j, 1.0 - 1.0j])
     with pytest.raises(UnsupportedNodeError):
-        hermite_lagrange(q, nodes, mode="symmetric")
+        hermite_lagrange(q, nodes)
 
 
 def test_hermite_lagrange_node_count_mismatch():
@@ -327,14 +327,14 @@ def test_scaling_from_numeric_nn5():
 
 
 def test_scaling_from_numeric_trivial_cases():
-    S = scaling_from_numeric(np.eye(3))
+    S = scaling_from_numeric(np.eye(3), NodeSet.from_values([0.0, 1.0, 2.0]))
     assert np.allclose(S.values, 1.0) and not S.warning
-    S = scaling_from_numeric(np.diag([4.0, 9.0]))
+    S = scaling_from_numeric(np.diag([4.0, 9.0]), NodeSet.from_values([0.0, 1.0]))
     assert np.allclose(S.values, [0.5, 1.0 / 3.0])
 
 
 def test_scaling_from_numeric_zero_block_warns():
-    S = scaling_from_numeric(np.zeros((2, 2)))
+    S = scaling_from_numeric(np.zeros((2, 2)), NodeSet.from_values([0.0, 1.0]))
     assert S.warning
     assert np.allclose(S.values, 1.0)
 

@@ -1,5 +1,6 @@
 """Penalty solver: derivatives, end-to-end behavior, and status reporting."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -284,8 +285,7 @@ def test_solve_identity_program():
 
 
 def test_counters_and_feasibility_invariants():
-    trace = []
-    cfg = SolveConfig(k0=[0.0, 0.0], u0=1.0 / 9, trace=trace)
+    cfg = SolveConfig(k0=[0.0, 0.0], u0=1.0 / 9)
     report = solve_sof(_ac4_scaled_program(), cfg)
     assert report.status == "converged"
     assert report.lam > 0
@@ -296,8 +296,8 @@ def test_counters_and_feasibility_invariants():
     # once an outer iterate is feasible, later iterates stay near-feasible
     # (exact monotonicity of min-eig(G) does not hold for this method;
     # multiplier updates cause sub-milli oscillations)
-    feas = [t[1] for t in trace]
-    objs = [abs(t[2]) for t in trace]
+    feas = [t[1] for t in report.history]
+    objs = [abs(t[2]) for t in report.history]
     started = False
     for me, f in zip(feas, objs):
         if started:
@@ -305,6 +305,28 @@ def test_counters_and_feasibility_invariants():
         elif me >= -1e-9:
             started = True
     assert started
+
+
+@pytest.mark.parametrize(
+    "program, cfg",
+    [
+        # stops on the infeasibility stall before the outer cap
+        (_k_squared_program, SolveConfig(k0=[0.5])),
+        # stops at the outer cap
+        (_ac4_scaled_program, SolveConfig(k0=[0.0, 0.0], u0=1.0 / 9, max_outer=3)),
+    ],
+)
+def test_history_records_each_outer_iteration_and_leaves_the_config_alone(program, cfg):
+    before = copy.deepcopy(cfg)
+    first = solve_sof(program(), cfg)
+    second = solve_sof(program(), cfg)
+    assert cfg == before
+    assert len(first.history) == first.outer_iters >= 2
+    assert all(len(record) == 3 for record in first.history)
+    assert first.history[-1][0] == first.lam
+    for field in dataclasses.fields(first):
+        a, b = getattr(first, field.name), getattr(second, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 # planted 4-state, 2-input, 1-output plant (the fifth draw of a seeded suite):
@@ -372,7 +394,7 @@ def test_newton_phase_reuses_the_given_evaluation():
 
     x0 = np.array([0.3, -0.2])
     x, f, g, iters, trials, failed = _newton_inner(
-        fun_grad, x0, 1.5, np.array([1e-9, 0.0]), 1e-6, 40, SolveConfig()
+        fun_grad, x0, 1.5, np.array([1e-9, 0.0]), 1e-6, 40
     )
     assert calls == []
     assert np.array_equal(x, x0) and f == 1.5 and (iters, trials, failed) == (0, 0, False)
