@@ -250,7 +250,7 @@ class ExperimentConfig:
     mu: float
     k0: Sequence[float] | None = None
     target: TargetSpec | None = None
-    part: str = "im"
+    part: str | None = None  # node part; None derives it from the target
     lam0: float | None = None
     solver: SolveConfig | None = None
 
@@ -294,10 +294,13 @@ def target_poly(q, target: TargetSpec) -> np.ndarray:
     return build_target(roots(open_loop), target)
 
 
-def hermite_form(q, basis: str, target: TargetSpec | None, part: str) -> HermiteForm:
+def hermite_form(
+    q, basis: str, target: TargetSpec | None, part: str | None = None
+) -> HermiteForm:
     """The Hermite form of q that a solve or a display uses: the power form,
-    or for "lagrange" the Lagrange form over the nodes of the target's
-    `part`, scaled by the target's own form."""
+    or for "lagrange" the Lagrange form over the target's nodes (see
+    `nodes_from_target` for the part they come from), scaled by the
+    target's own form."""
     if basis == "power":
         return hermite_power(q)
     if basis != "lagrange":
@@ -370,6 +373,15 @@ def run_experiment(
 CSV_HEADER = "system,basis,mu,K0,outer,inner,linesearch,K,lambda,status,stable"
 
 
+def row_json(row: ExperimentRow) -> dict:
+    """The row's fields for JSON output, a non-finite float (the lambda of
+    an error or skipped row) as None, which JSON writes as null."""
+    return {
+        key: None if isinstance(v, float) and not math.isfinite(v) else v
+        for key, v in dataclasses.asdict(row).items()
+    }
+
+
 def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
@@ -425,7 +437,7 @@ def table1_suite() -> list[tuple[str, object, ExperimentConfig]]:
     suite.append(
         ("AC4", ac4, ExperimentConfig(
             "lagrange", 1e-5, k0=[0.0, 0.0],
-            target=targets["AC4_shifted"], part="re", solver=ac4_solver,
+            target=targets["AC4_shifted"], solver=ac4_solver,
         ))
     )
     nn6 = reg["polys"]["NN6"]

@@ -18,6 +18,7 @@ from .benchmarks import (
     ExperimentConfig,
     get_plant,
     hermite_form,
+    row_json,
     rows_to_csv,
     rows_to_text,
     run_experiment,
@@ -41,37 +42,29 @@ from .solver import SolveConfig, verify_solution
 from .stability import TargetSpec, nodes_from_target
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind, what: str) -> list:
+    """The comma-separated values of `kind` in text; each must be finite."""
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [kind(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise InputError(f"bad numeric list {text!r}: {exc}") from exc
-
-
-def _parse_roots(text: str) -> tuple[complex, ...]:
-    try:
-        return tuple(complex(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise InputError(f"bad root list {text!r}: {exc}") from exc
+        raise InputError(f"bad {what} list {text!r}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise InputError(f"non-finite value in {what} list {text!r}")
+    return values
 
 
 def _target_spec(args) -> TargetSpec | None:
     if getattr(args, "roots", None):
-        return TargetSpec(mode="explicit-roots", roots=_parse_roots(args.roots))
+        roots = tuple(_parse_list(args.roots, complex, "root"))
+        return TargetSpec(mode="explicit-roots", roots=roots)
     if getattr(args, "target_shift", None) is not None:
         return TargetSpec(mode="mirror-shift", shift=args.target_shift)
     return None
 
 
-def _default_part(args, q) -> str:
-    if getattr(args, "part", None):
-        return args.part
-    return "im" if q.n % 2 == 1 else "re"
-
-
 def _suite_defaults(name: str, basis: str) -> ExperimentConfig | None:
-    """Reference-run settings for embedded fixtures (target, node part,
-    tuned solver knobs)."""
+    """Reference-run settings for embedded fixtures (target, tuned solver
+    knobs)."""
     for row_name, _, cfg in table1_suite():
         if row_name == name and cfg.basis == basis:
             return cfg
@@ -86,7 +79,7 @@ def cmd_hermite(args) -> int:
         spec = _target_spec(args)
         if spec is None:
             raise InputError("lagrange basis needs --roots or --target-shift")
-    H = hermite_form(q, args.basis, spec, _default_part(args, q))
+    H = hermite_form(q, args.basis, spec)
     entries = {
         f"{i},{j}": str(H.entry(i, j))
         for i in range(1, H.n + 1)
@@ -115,8 +108,7 @@ def cmd_hermite(args) -> int:
 def cmd_cond(args) -> int:
     plant = get_plant(args.fixture)
     q, _, _ = _sym_poly(plant)
-    part = _default_part(args, q)
-    c = q.at_gains(_parse_floats(args.K) if args.K and q.nvars else np.zeros(q.nvars))
+    c = q.at_gains(_parse_list(args.K, float, "numeric") if args.K else np.zeros(q.nvars))
     rows: list[tuple[str, str]] = []
     Mp = hermite_power(c).eval_at()
     rows.append(("power", f"{cond_frobenius(Mp):.8g}"))
@@ -130,7 +122,7 @@ def cmd_cond(args) -> int:
     spec = _target_spec(args)
     try:
         target = target_poly(c, spec) if spec is not None else c
-        nodes = nodes_from_target(target, part=part)
+        nodes = nodes_from_target(target)
         hl = hermite_lagrange(c, nodes)
         Ml = hl.eval_at()
         rows.append(("lagrange", f"{cond_frobenius(Ml):.8g}"))
@@ -154,9 +146,8 @@ def cmd_solve(args) -> int:
     cfg = ExperimentConfig(
         basis=args.basis,
         mu=args.mu if args.mu is not None else (base.mu if base else 1e-5),
-        k0=_parse_floats(args.K0) if args.K0 else (base.k0 if base else None),
+        k0=_parse_list(args.K0, float, "numeric") if args.K0 else (base.k0 if base else None),
         target=_target_spec(args) or (base.target if base else None),
-        part=args.part or (base.part if base else _default_part(args, _sym_poly(plant)[0])),
         lam0=args.lambda0,
         solver=base.solver if base else None,
     )
@@ -172,14 +163,14 @@ def cmd_solve(args) -> int:
     cfg.solver = dataclasses.replace(cfg.solver or SolveConfig(), **overrides)
     row = run_single(args.fixture, plant, cfg)
     if args.format == "json":
-        print(json.dumps(row.__dict__, indent=1))
+        print(json.dumps(row_json(row), indent=1))
     elif args.format == "csv":
         print(rows_to_csv([row]))
     else:
         print(rows_to_text([row]))
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(rows_to_csv([row]) + "\n")
+            fh.write(rows_to_csv([row]))
     if row.status.startswith("error:"):
         return 2
     return 0 if row.status == "converged" and row.stable else 1
@@ -188,7 +179,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     plant = get_plant(args.fixture)
     q, m, p = _sym_poly(plant)
-    gains = _parse_floats(args.K)
+    gains = _parse_list(args.K, float, "numeric")
     if len(gains) != m * p:
         raise InputError(f"expected {m * p} gains, got {len(gains)}")
     K = np.asarray(gains).reshape((m, p), order="F")
@@ -219,13 +210,13 @@ def cmd_bench(args) -> int:
     if args.format == "csv":
         out = rows_to_csv(rows)
     elif args.format == "json":
-        out = json.dumps([r.__dict__ for r in rows], indent=1)
+        out = json.dumps([row_json(r) for r in rows], indent=1)
     else:
         out = rows_to_text(rows)
     print(out)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(rows_to_csv(rows) + "\n")
+            fh.write(rows_to_csv(rows))
     return 0
 
 
@@ -237,7 +228,6 @@ def _add_common(sp, target=True):
         sp.add_argument("--roots", help="comma-separated target roots (complex ok)")
         sp.add_argument("--target-shift", type=float, default=None,
                         help="mirror unstable open-loop poles to this real part")
-        sp.add_argument("--part", choices=("im", "re"), default=None)
 
 
 def main(argv=None) -> int:

@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, InputError, UnsupportedNodeError
-from .polynomials import CharPoly, MultiPoly, char_poly, poly_degree, split_re_im
-from .systems import SystemInstance
+from .polynomials import CharPoly, MultiPoly, poly_degree, split_re_im
 
 _NODE_TOL = 1e-9
 
@@ -346,18 +345,13 @@ def apply_scaling(H: HermiteForm, S: ScalingDiag) -> HermiteForm:
 
 
 def scaled_hermite(
-    plant, target: np.ndarray, part: str = "im", nodes: NodeSet | None = None
+    q, target: np.ndarray, part: str | None = None, nodes: NodeSet | None = None
 ) -> HermiteForm:
-    """Scaled Lagrange-basis Hermite matrix: nodes and the normalizing
-    diagonal both come from the target polynomial's coefficient array.
-
-    `plant` is either a SystemInstance (its characteristic polynomial is
-    computed here) or a CharPoly.
+    """Scaled Lagrange-basis Hermite matrix of q (a CharPoly or a real
+    coefficient array): nodes and the normalizing diagonal both come from
+    the target polynomial's coefficient array, the nodes from the part
+    that `nodes_from_target` picks unless given.
     """
-    if isinstance(plant, SystemInstance):
-        q = char_poly(plant)
-    else:
-        q = plant
     if nodes is None:
         from .stability import nodes_from_target
 

@@ -31,35 +31,9 @@ class MultiPoly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, complex] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponents, float] | None = None):
         self.nvars = int(nvars)
-        clean: dict[Exponents, complex] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if len(mono) != self.nvars:
-                    raise InputError(
-                        f"monomial {mono} has {len(mono)} exponents, expected {self.nvars}"
-                    )
-                if coeff != 0:
-                    clean[tuple(int(e) for e in mono)] = clean.get(tuple(mono), 0) + coeff
-        self.terms = {m: c for m, c in clean.items() if c != 0}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def constant_value(self) -> complex:
-        if any(sum(m) for m in self.terms):
-            raise InputError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, 0.0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
     def __str__(self) -> str:
         if not self.terms:
@@ -67,8 +41,6 @@ class MultiPoly:
         pieces = []
         for mono in sorted(self.terms, key=_grlex_key):
             coeff = self.terms[mono]
-            if isinstance(coeff, complex) and coeff.imag == 0:
-                coeff = coeff.real
             vars_part = "*".join(
                 f"k{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(mono)

@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import BarrierDomainError, InputError
 from .hermite import HermiteForm
-from .polynomials import CharPoly, char_poly, vec_gain
+from .polynomials import CharPoly, vec_gain
 from .stability import roots as poly_roots
-from .systems import SystemInstance
 
 
 @dataclass
@@ -25,18 +24,14 @@ class SofProgram:
     """min mu*||k|| - lambda  s.t.  H(k) - lambda*I >= 0."""
 
     H: HermiteForm
-    mu: float = 0.0
-    m: int = 1  # gain matrix shape for reporting; mp = m * p
-    p: int | None = None
+    mu: float
+    m: int  # gain matrix shape for reporting; mp = m * p
+    p: int
 
     def __post_init__(self):
         if not self.mu >= 0:
             raise InputError(f"mu {self.mu:.8g} must be non-negative")
         self.mp = self.H.nvars
-        if self.p is None:
-            if self.mp % self.m != 0:
-                raise InputError("gain shape does not divide the variable count")
-            self.p = self.mp // self.m
         if self.m * self.p != self.mp:
             raise InputError("m*p must equal the gain-variable count")
         E, C = self.H.E, self.H.C
@@ -295,6 +290,8 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         raise InputError(
             f"k0 entry {k0[out[0]]:.8g} lies outside the gain box |k| <= {cfg.k_bound:.8g}"
         )
+    if not 0 < cfg.p0 < np.inf:
+        raise InputError(f"p0 {cfg.p0:.8g} must be positive and finite")
     eig_min = float(np.linalg.eigvalsh(prog.h_eval(k0)).min())
     lam0 = cfg.lam0 if cfg.lam0 is not None else eig_min - 1.0
     lam_max = eig_min + cfg.p0 * (1.0 - 1e-12)
@@ -400,19 +397,9 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
     )
 
 
-def verify_solution(plant, K) -> tuple[np.ndarray, bool, float]:
-    """Closed-loop poles at gain K plus a strict-stability flag and margin.
-
-    `plant` is a SystemInstance or its characteristic polynomial q(k).
-    """
-    if isinstance(plant, SystemInstance):
-        q = char_poly(plant)
-    elif isinstance(plant, CharPoly):
-        q = plant
-    else:
-        raise InputError("plant must be a SystemInstance or CharPoly")
-    k = vec_gain(K)
-    qn = q.at_gains(k)
-    rts = poly_roots(qn)
+def verify_solution(q: CharPoly, K) -> tuple[np.ndarray, bool, float]:
+    """Closed-loop poles of q(k) at gain K plus a strict-stability flag and
+    margin."""
+    rts = poly_roots(q.at_gains(vec_gain(K)))
     margin = float(np.max(rts.real))
     return rts, margin < 0.0, margin

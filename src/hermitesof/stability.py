@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, NodeCountError
+from .errors import DegenerateInputError, InputError, NodeCountError
 from .hermite import NodeSet
 from .polynomials import poly_degree, poly_from_roots, split_re_im
 
@@ -100,6 +100,8 @@ class TargetSpec:
             raise DegenerateInputError(f"unknown target mode {self.mode!r}")
         if self.mode == "mirror-shift" and self.shift >= 0:
             raise DegenerateInputError("shift must be negative")
+        if not np.isfinite(self.shift):
+            raise InputError(f"shift {self.shift} must be finite")
 
 
 def build_target(open_loop_poles, spec: TargetSpec) -> np.ndarray:
@@ -131,12 +133,20 @@ def build_target(open_loop_poles, spec: TargetSpec) -> np.ndarray:
     return poly_from_roots(out)
 
 
-def nodes_from_target(target: np.ndarray, part: str = "im") -> NodeSet:
-    """Interpolation nodes: roots of the imaginary (default) or real part of
-    the target polynomial on the imaginary axis."""
+def nodes_from_target(target: np.ndarray, part: str | None = None) -> NodeSet:
+    """Interpolation nodes: roots of the imaginary or real part of the
+    target polynomial on the imaginary axis.
+
+    Only the part whose degree is the target's degree n supplies n nodes:
+    the imaginary part for odd n, the real part for even n, which is the
+    part taken when `part` is None.  An explicit "im" or "re" is checked
+    and raises NodeCountError when its degree falls short.
+    """
+    n = poly_degree(target)
+    if part is None:
+        part = "im" if n % 2 else "re"
     if part not in ("im", "re"):
         raise DegenerateInputError(f"part must be 'im' or 're', got {part!r}")
-    n = poly_degree(target)
     a, b = split_re_im(target)
     sel = a if part == "im" else b
     d = poly_degree(sel)

@@ -33,6 +33,9 @@ class SystemInstance:
             raise InputError(f"{self.name}: B must be {n}-by-m, got {B.shape}")
         if C.shape[1] != n or C.shape[0] < 1:
             raise InputError(f"{self.name}: C must be p-by-{n}, got {C.shape}")
+        for label, M in (("A", A), ("B", B), ("C", C)):
+            if not np.isfinite(M).all():
+                raise InputError(f"{self.name}: {label} has non-finite entries")
 
     @property
     def n(self) -> int:

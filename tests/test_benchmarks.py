@@ -5,6 +5,7 @@ import pytest
 
 from hermitesof.benchmarks import (
     CSV_HEADER,
+    DATA_DIR_ENV,
     ExperimentConfig,
     load_instance,
     registry,
@@ -12,7 +13,9 @@ from hermitesof.benchmarks import (
     run_experiment,
     run_single,
     save_instance,
+    table1_suite,
 )
+from hermitesof.cli import main
 from hermitesof.errors import InputError
 from hermitesof.polynomials import MultiPoly
 from hermitesof.solver import SolveConfig
@@ -41,7 +44,7 @@ def test_registry_nn6_constant_term():
 
 def test_registry_nn5_constant_term():
     q = REG["polys"]["NN5_openloop"].q
-    assert q.coeffs[0].constant_value() == 6.3000000
+    assert q.coeffs[0].terms == {(): 6.3000000}
     assert q.n == 7
 
 
@@ -154,3 +157,16 @@ def test_run_single_builds_no_symbolic_polynomial(monkeypatch):
     for name, plant, cfg in runs:
         row = run_single(name, plant, cfg)
         assert not row.status.startswith("error"), (name, row.status)
+
+
+def test_even_degree_file_plant_gets_lagrange_rows(tmp_path, monkeypatch, capsys):
+    # a 4-state plant: only the target's real part supplies 4 nodes
+    plant = _planted_plant(17, 4, 1, 2)
+    save_instance(SystemInstance("AC17", plant.A, plant.B, plant.C), tmp_path / "AC17.json")
+    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+    rows = run_experiment([row for row in table1_suite() if row[0] == "AC17"])
+    assert [r.basis for r in rows] == ["power", "lagrange"]
+    assert not rows[1].status.startswith("error:"), rows[1].status
+    main(["solve", "--fixture", "AC17", "--basis", "lagrange", "--format", "csv"])
+    row = capsys.readouterr().out.splitlines()[1]
+    assert not row.split(",")[9].startswith("error:"), row

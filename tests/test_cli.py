@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from hermitesof.benchmarks import DATA_DIR_ENV, rows_to_csv, run_experiment, table2_suite
 from hermitesof.cli import main
 
 
@@ -141,3 +142,63 @@ def test_solve_repeated_pole_instance_mirror_shift(capsys, tmp_path):
     main(["solve", "--instance", str(path), "--format", "csv"])
     row = capsys.readouterr().out.splitlines()[1]
     assert not row.split(",")[9].startswith("error:"), row
+
+
+NON_FINITE_PLANTS = {
+    "nan": '{"name": "nan", "A": [[NaN, 1], [0, 1]], "B": [[0], [1]], "C": [[1, 0]]}',
+    "inf": '{"name": "inf", "A": [[0, 1], [Infinity, 1]], "B": [[0], [1]], "C": [[1, 0]]}',
+}
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["hermite", "--fixture", "{nan}", "--basis", "power"], "A has non-finite entries"),
+    (["verify", "--fixture", "{inf}", "--K", "1"], "A has non-finite entries"),
+    (["verify", "--fixture", "AC4", "--K", "nan,0"], "non-finite value"),
+    (["cond", "--fixture", "AC4", "--K", "inf,0"], "non-finite value"),
+    (["hermite", "--fixture", "NN1", "--basis", "lagrange", "--roots=nan,-1,-2"],
+     "non-finite value"),
+    (["solve", "--fixture", "NN1", "--basis", "power", "--P0", "0"], "p0 0 must be"),
+    (["solve", "--fixture", "NN1", "--basis", "power", "--P0", "-1"], "p0 -1 must be"),
+    (["hermite", "--fixture", "NN1", "--basis", "lagrange", "--target-shift", "nan"],
+     "shift nan must be finite"),
+    (["cond", "--fixture", "AC4_openloop", "--K", "1,2"], "gain vector length 2"),
+], ids=["nan-instance", "inf-instance", "nan-gain", "inf-gain", "nan-root", "zero-P0",
+        "negative-P0", "nan-shift", "gains-without-variables"])
+def test_bad_outside_input_exits_2(argv, says, capsys, tmp_path):
+    paths = {}
+    for name, text in NON_FINITE_PLANTS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    rc = main([arg.format(**paths) for arg in argv])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert says in out.out + out.err
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_rows_are_strict_json(capsys, monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    main(["solve", "--fixture", "NN1", "--basis", "power", "--mu", "-1", "--format", "json"])
+    row = _strict_json(capsys.readouterr().out)
+    assert row["status"].startswith("error:") and row["lam"] is None
+    assert main(["bench", "--suite", "table2", "--format", "json"]) == 0
+    rows = _strict_json(capsys.readouterr().out)
+    assert [r["lam"] for r in rows] == [None] * 4
+
+
+def test_out_file_holds_the_csv_text(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    path = tmp_path / "rows.csv"
+    main(["bench", "--suite", "table2", "--out", str(path)])
+    assert path.read_text() == rows_to_csv(run_experiment(table2_suite()))
+    capsys.readouterr()
+    main(["solve", "--fixture", "NN1", "--basis", "power", "--mu", "-1",
+          "--format", "csv", "--out", str(path)])
+    # stdout is the same CSV text plus the newline print adds
+    assert path.read_text() + "\n" == capsys.readouterr().out

@@ -56,14 +56,14 @@ def test_bezoutian_nn1_entries():
     H = hermite_power(char_poly(NN1))
     # (1,1) = q0*q1 = (k2 - 5k1 - 13) k2
     assert H.entry(1, 1).terms == {(0, 1): -13.0, (1, 1): -5.0, (0, 2): 1.0}
-    assert H.entry(3, 2).is_zero
+    assert H.entry(3, 2).terms == {}
 
 
 def test_bezoutian_degree_one():
     # q(s) = s + 1: q(j*u) = 1 + j*u, so a = u and b = 1
     H = hermite_power(np.array([1.0, 1.0]))
     assert H.n == 1
-    assert H.entry(1, 1).constant_value() == 1.0
+    assert H.entry(1, 1).terms == {(): 1.0}
 
 
 def test_bezoutian_rejects_degenerate_input():
@@ -130,7 +130,7 @@ NN6_HP33 = {
 
 def test_hermite_power_nn6_entries():
     H = hermite_power(NN6)
-    assert H.entry(9, 9).constant_value() == 23.300000
+    assert H.entry(9, 9).terms == {(0, 0, 0, 0): 23.300000}
     got = _coeffs_of(H.entry(3, 3))
     assert set(got) == set(NN6_HP33)
     for mono, ref in NN6_HP33.items():
@@ -163,7 +163,7 @@ def test_power_entries_symmetric_symbolically():
     H = hermite_power(char_poly(NN1))
     for i in range(3):
         for j in range(3):
-            assert H.entries[i][j] == H.entries[j][i]
+            assert H.entries[i][j].terms == H.entries[j][i].terms
 
 
 # -- Lagrange basis ---------------------------------------------------------
@@ -189,7 +189,7 @@ def test_hermite_lagrange_single_node():
     q = np.array([1.0, 1.0])  # s + 1
     H = hermite_lagrange(q, NodeSet.from_values([0.0]))
     assert H.n == 1
-    assert H.entry(1, 1).constant_value() == 1.0
+    assert H.entry(1, 1).terms == {(): 1.0}
 
 
 def test_hermite_lagrange_nn1_first_entry():
@@ -356,7 +356,7 @@ NN1_HS32 = {
 
 def test_scaled_hermite_nn1_fixture():
     target = poly_from_roots([-1.0, -2.0, -3.0])
-    HS = scaled_hermite(NN1, target)
+    HS = scaled_hermite(char_poly(NN1), target)
     for entry, ref in ((HS.entry(1, 1), NN1_HS11), (HS.entry(3, 2), NN1_HS32)):
         got = _coeffs_of(entry)
         assert set(got) == set(ref)

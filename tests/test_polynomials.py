@@ -29,7 +29,7 @@ def _val(c, s):
 def test_multipoly_no_zero_terms():
     p = MultiPoly(2, {(1, 0): 3.0, (0, 1): 0.0, (0, 0): 0.0})
     assert p.terms == {(1, 0): 3.0}
-    assert MultiPoly(2, {(1, 0): 0.0}).is_zero
+    assert MultiPoly(2, {(1, 0): 0.0}).terms == {}
 
 
 def _nn1():
