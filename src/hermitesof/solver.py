@@ -5,6 +5,13 @@ H(k) - lambda*I >= 0.  The constraint is handled through a shifted spectral
 log barrier phi(t) = -p*log(1 - t/p) with multiplier and penalty updates in
 an outer loop and, inside, damped Newton steps on a finite-differenced
 Hessian with Armijo backtracking.
+
+Trial points outside the barrier domain are rejected.  Where rejections come
+in runs (the finite-difference probes of one coordinate, the backtracking of
+one line search), a domain screen proves a batch of them outside the domain
+from a Rayleigh-quotient bound and they are skipped without an evaluation:
+every evaluated point, and so every iterate, is the same as without the
+screen.  A skipped line-search step still counts as a trial.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ class SofProgram:
     p: int
 
     def __post_init__(self):
-        if not self.mu >= 0:
-            raise InputError(f"mu {self.mu:.8g} must be non-negative")
+        if not 0 <= self.mu < np.inf:
+            raise InputError(f"mu {self.mu:.8g} must be non-negative and finite")
         self.mp = self.H.nvars
         if self.m * self.p != self.mp:
             raise InputError("m*p must equal the gain-variable count")
@@ -198,20 +205,101 @@ def augmented_objective(
     return val, grad
 
 
-def _armijo(fun_grad, x, f, d, slope):
+class _DomainScreen:
+    """Proves trial points y = (k, lambda) outside the domain of
+    augmented_objective(prog, y, U, p, k_bound), without evaluating them.
+
+    With q_a the eigenvectors of H at the base point x and v(y) the monomial
+    values at k, H(k) = sum_t v_t C_t and Z(y) = lambda*I - H(k) give
+    q_a' Z(y) q_a = lambda - v(y) . D[:, a], D[t, a] = q_a' C_t q_a, so
+    lambda - min_a v(y) . D[:, a] is a lower bound on max eig Z(y).  A point
+    is flagged when the bound exceeds augmented_objective's domain limit
+    p*(1 - 1e-12) by a rounding allowance, or when it fails the gain-box
+    test.
+
+    One screen serves a solve; `at` points it at the base point of an inner
+    iteration, and the bound is built on the first call after that."""
+
+    # The allowance is SCREEN_ROUNDING * (n + T) * eps * (|lambda| +
+    # sum_t |v_t| ||C_t||_1), a bound on ||Z(y)||_2.  It covers the error of
+    # the evaluated Z (T-term sums), of eigh (backward error of order n*eps
+    # in ||Z||) and of the bound itself (n-term sums in D, T-term sums in
+    # v . D, the monomial products), with room to spare.
+    SCREEN_ROUNDING = 64
+
+    def __init__(self, prog: SofProgram, k_bound: float | None):
+        E, C = prog.H.E, prog.H.C
+        n, T = prog.H.n, len(C)
+        self.k_bound = k_bound if prog.mp > 0 else None
+        self._E, self._C, self._C2 = E, C, C.reshape(T, n * n)
+        # v = prod_l P[l, E[t, l]] over a table P of each gain's powers,
+        # gathered through flat indices into it
+        self._deg = int(E.max(initial=0)) + 1
+        self._cols = E + self._deg * np.arange(prog.mp)
+        self._tau = self.SCREEN_ROUNDING * (n + T) * np.finfo(float).eps
+        self._slack = self._tau * np.abs(C).sum(axis=1).max(axis=1)
+
+    def at(self, x, p: float) -> _DomainScreen:
+        self._x, self._limit, self._D = x, p * (1.0 - 1e-12), None
+        return self
+
+    def _monomials(self, K) -> np.ndarray:
+        P = np.empty(K.shape + (self._deg,))
+        P[:, :, 0] = 1.0
+        for e in range(1, self._deg):
+            np.multiply(P[:, :, e - 1], K, out=P[:, :, e])
+        return P.reshape(len(K), -1)[:, self._cols].prod(axis=2)
+
+    def __call__(self, Y) -> np.ndarray:
+        """One flag per row of Y: True where augmented_objective would raise
+        BarrierDomainError."""
+        if self._D is None:
+            v = (self._x[:-1] ** self._E).prod(axis=1)
+            n = self._C.shape[1]
+            _, Q = np.linalg.eigh((v @ self._C2).reshape(n, n))
+            self._D = np.einsum("ia,tia->ta", Q, self._C @ Q)
+        K, lam = Y[:, :-1], Y[:, -1]
+        v = self._monomials(K)
+        bound = lam - (v @ self._D).min(axis=1)
+        flagged = bound - self._tau * np.abs(lam) - np.abs(v) @ self._slack >= self._limit
+        if self.k_bound is not None:
+            # augmented_objective's box test: the same differences, compared
+            # the same way
+            z = np.maximum(-self.k_bound - K, K - self.k_bound)
+            flagged |= z.max(axis=1) >= self._limit
+        return flagged
+
+
+def _armijo(fun_grad, x, f, d, slope, screen=None):
     """Backtracking line search along d from x, where f = fun_grad(x)[0]
     and slope is the directional derivative; points outside the barrier
-    domain count as trials and are backtracked from.
+    domain count as trials and are backtracked from.  From the second such
+    point on, `screen` (see _DomainScreen) is asked about the next steps in
+    one batch, and the steps it flags are skipped unevaluated, each still
+    counting as a trial.
 
     Returns (step, f, g, trials) at the accepted point, with f and g None
     when no step passes the Armijo test within MAX_LINESEARCH trials.
     """
     step = 1.0
+    rejected = 0
+    flags = []  # screened verdicts on the next steps, the next one last
     for trials in range(1, MAX_LINESEARCH + 1):
+        if flags and flags.pop():
+            step *= BACKTRACK
+            continue
         try:
             f_try, g_try = fun_grad(x + step * d)
         except BarrierDomainError:
             step *= BACKTRACK
+            rejected += 1
+            count = min(16, MAX_LINESEARCH - trials)
+            if screen is not None and rejected >= 2 and not flags and count:
+                # the same products as the repeated step *= BACKTRACK
+                steps = np.full(count, BACKTRACK)
+                steps[0] = step
+                steps = np.cumprod(steps)
+                flags = screen(x + steps[:, None] * d)[::-1].tolist()
             continue
         if f_try <= f + ARMIJO_C * step * slope:
             return step, f_try, g_try, trials
@@ -219,15 +307,24 @@ def _armijo(fun_grad, x, f, d, slope):
     return step, None, None, MAX_LINESEARCH
 
 
-def _fd_hessian(fun_grad, x, g):
-    """Symmetrized finite-difference Hessian from the analytic gradient."""
+def _fd_hessian(fun_grad, x, g, screen=None):
+    """Symmetrized finite-difference Hessian from the analytic gradient.
+
+    A probe outside the barrier domain is dropped and h shrinks by 1/8 when
+    both probes of a level are; when both level-0 probes of a coordinate
+    are, `screen` (see _DomainScreen) is asked about its other levels in one
+    batch, and the probes it flags are dropped unevaluated."""
     n = x.size
     H = np.zeros((n, n))
     h0 = 1e-6 * (1.0 + np.abs(x))
+    signs = (1.0, -1.0)
     for i in range(n):
         h = h0[i]
-        for _ in range(20):  # shrink into the feasible strip if needed
-            for sign in (1.0, -1.0):
+        flags = None
+        for level in range(20):  # shrink into the feasible strip if needed
+            for j, sign in enumerate(signs):
+                if flags is not None and flags[level - 1, j]:
+                    continue
                 xp = x.copy()
                 xp[i] += sign * h
                 try:
@@ -237,16 +334,25 @@ def _fd_hessian(fun_grad, x, g):
                 H[:, i] = sign * (gp - g) / h
                 break
             else:
+                if level == 0 and screen is not None:
+                    # levels 1-19, the same products as the repeated h *= 0.125
+                    hs = np.full(20, 0.125)
+                    hs[0] = h
+                    Y = np.repeat(x[None, :], 38, axis=0)
+                    Y[:, i] += np.outer(np.cumprod(hs)[1:], signs).ravel()
+                    flags = screen(Y).reshape(19, 2)
                 h *= 0.125
                 continue
             break
     return 0.5 * (H + H.T)
 
 
-def _newton_inner(fun_grad, x0, f, g, tol, max_iter):
+def _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at=None):
     """Damped Newton minimization from x0 with f, g = fun_grad(x0) given; the
     Hessian is finite-differenced from the analytic gradient and modified
-    to be positive definite.  Stops when ||g|| <= tol*(1 + |f|).
+    to be positive definite.  Stops when ||g|| <= tol*(1 + |f|).  With
+    `screen_at`, each iteration's finite differences and line search skip
+    the trial points that screen_at(x) flags outside the barrier domain.
 
     Returns (x, f, g, iters, linesearch_trials, failed).
     """
@@ -256,7 +362,8 @@ def _newton_inner(fun_grad, x0, f, g, tol, max_iter):
     for _ in range(max_iter):
         if np.linalg.norm(g) <= tol * (1.0 + abs(f)):
             break
-        H = _fd_hessian(fun_grad, x, g)
+        screen = screen_at(x) if screen_at is not None else None
+        H = _fd_hessian(fun_grad, x, g, screen)
         w, Q = np.linalg.eigh(H)
         wmod = np.maximum(np.abs(w), 1e-8 * max(1.0, float(np.abs(w).max())))
         d = -(Q @ ((Q.T @ g) / wmod))
@@ -264,7 +371,7 @@ def _newton_inner(fun_grad, x0, f, g, tol, max_iter):
         if slope >= 0:
             d = -g
             slope = float(g @ d)
-        step, f_new, g_new, tries = _armijo(fun_grad, x, f, d, slope)
+        step, f_new, g_new, tries = _armijo(fun_grad, x, f, d, slope, screen)
         trials += tries
         iters += 1
         if f_new is None:
@@ -292,6 +399,10 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         )
     if not 0 < cfg.p0 < np.inf:
         raise InputError(f"p0 {cfg.p0:.8g} must be positive and finite")
+    for name in ("tol_inner", "tol_outer"):
+        tol = getattr(cfg, name)
+        if not 0 <= tol < np.inf:
+            raise InputError(f"{name} {tol:.8g} must be non-negative and finite")
     eig_min = float(np.linalg.eigvalsh(prog.h_eval(k0)).min())
     lam0 = cfg.lam0 if cfg.lam0 is not None else eig_min - 1.0
     lam_max = eig_min + cfg.p0 * (1.0 - 1e-12)
@@ -312,14 +423,16 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
     stall = 0
     status = "max-iters"
     history = []
+    screen = _DomainScreen(prog, cfg.k_bound)
 
     for outer in range(1, cfg.max_outer + 1):
         fun = lambda xx: augmented_objective(
             prog, xx, U, p, k_bound=cfg.k_bound, u_box=u_box
         )
+        screen_at = lambda xx: screen.at(xx, p)
         f, g = fun(x)
         x, _, g, iters, trials, failed = _newton_inner(
-            fun, x, f, g, cfg.tol_inner, cfg.max_inner
+            fun, x, f, g, cfg.tol_inner, cfg.max_inner, screen_at
         )
         inner_total += iters
         ls_total += trials

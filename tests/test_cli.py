@@ -101,6 +101,18 @@ def test_solve_input_error_row_exits_2(flags, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags, says", [
+    (["--mu", "inf"], "mu inf must be non-negative and finite"),
+    (["--tol-inner", "nan"], "tol_inner nan must be non-negative and finite"),
+    (["--tol-outer", "-1"], "tol_outer -1 must be non-negative and finite"),
+    (["--tol-inner", "inf"], "tol_inner inf must be non-negative and finite"),
+])
+def test_solve_rejects_non_finite_or_negative_settings(flags, says, capsys):
+    rc = main(["solve", "--fixture", "NN1", "--basis", "power"] + flags)
+    assert f"error: {says}" in capsys.readouterr().out
+    assert rc == 2
+
+
 def test_bench_table2_skips_without_data(capsys, tmp_path):
     out_path = tmp_path / "t2.csv"
     rc = main(["bench", "--suite", "table2", "--format", "csv", "--out", str(out_path)])

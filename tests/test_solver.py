@@ -2,12 +2,14 @@
 
 import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermitesof import solver
-from hermitesof.benchmarks import registry, run_single, table1_suite
+from hermitesof.benchmarks import _sym_poly, hermite_form, registry, run_single, table1_suite
 from hermitesof.errors import BarrierDomainError, InputError
 from hermitesof.hermite import hermite_power, scaled_hermite
 from hermitesof.polynomials import char_poly
@@ -435,3 +437,140 @@ def test_inner_loop_stops_on_its_tolerance_before_the_cap():
     row = run_single(name, plant, dataclasses.replace(cfg, solver=SolveConfig(max_inner=100)))
     assert row.status == "converged"
     assert row.inner < 100 * row.outer
+
+
+# -- domain screen -------------------------------------------------------------
+
+MIRROR = TargetSpec(mode="mirror-shift", shift=-0.5)
+
+
+def _suite_program(name, basis):
+    """The program and solver settings of a Table-1 row, as run_single builds
+    them."""
+    (plant, cfg), = [(pl, c) for n, pl, c in table1_suite() if n == name and c.basis == basis]
+    q, m, p = _sym_poly(plant)
+    prog = SofProgram(hermite_form(q, basis, cfg.target), mu=cfg.mu, m=m, p=p)
+    return prog, dataclasses.replace(cfg.solver or SolveConfig(), k0=cfg.k0, lam0=cfg.lam0)
+
+
+def _planted_program(seed, n, m, p):
+    """A planted plant in the scaled Lagrange basis, solved from k0 = 0."""
+    plant = _planted_plant(seed, n, m, p)
+    H = hermite_form(char_poly(plant), "lagrange", MIRROR)
+    return SofProgram(H, mu=1e-5, m=m, p=p), SolveConfig(k0=np.zeros(m * p))
+
+
+SCREENED = [
+    _suite_program("NN1", "power"),
+    _suite_program("NN1", "lagrange"),
+    _suite_program("AC4", "power"),
+    _suite_program("AC4", "lagrange"),
+    _suite_program("NN6", "lagrange"),
+    _planted_program(2, 4, 2, 2),  # H of degree 4 in k
+]
+
+
+def _rejected(prog, y, p, k_bound):
+    try:
+        augmented_objective(prog, y, np.eye(prog.H.n), p, k_bound=k_bound)
+    except BarrierDomainError:
+        return True
+    return False
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    which=st.integers(0, len(SCREENED) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    log_p=st.floats(-9.0, 0.0),
+    gain_scale=st.sampled_from([0.1, 1.0, 30.0, "box"]),
+    lam_only=st.booleans(),
+)
+def test_screen_flags_only_points_augmented_objective_rejects(
+    which, seed, log_p, gain_scale, lam_only
+):
+    prog, cfg = SCREENED[which]
+    rng = np.random.default_rng(seed)
+    p, kb = 10.0**log_p, cfg.k_bound
+    if gain_scale == "box":  # one gain just inside the gain box
+        k = rng.standard_normal(prog.mp)
+        k[rng.integers(prog.mp)] = rng.choice([-1.0, 1.0]) * kb * (1.0 - rng.uniform(0, 1e-6))
+    else:
+        k = gain_scale * rng.standard_normal(prog.mp)
+    H = prog.h_eval(k)
+    # below the edge by a share of p and by the rounding of eigh on H
+    lam = np.linalg.eigvalsh(H).min() - p * rng.uniform(0.01, 2.0) - 1e-12 * np.abs(H).sum()
+    x = np.append(k, lam)
+    assert not _rejected(prog, x, p, kb)  # a strictly feasible base point
+    d = np.zeros(x.size)
+    if lam_only:
+        d[-1] = 1.0
+    else:
+        d[:] = rng.standard_normal(x.size)
+        d *= (1.0 + np.abs(x)) / np.linalg.norm(d)
+    steps = list(10.0 ** rng.uniform(-9.0, 1.0) * 0.5 ** np.arange(30))
+    # bisection for the edge of the domain along d, then points within 1e-9
+    # relative of it on both sides
+    inside, outside = 0.0, 1e-9
+    while outside < 1e12 and not _rejected(prog, x + outside * d, p, kb):
+        inside, outside = outside, 4.0 * outside
+    if outside < 1e12:
+        while outside - inside > 1e-10 * outside:
+            mid = 0.5 * (inside + outside)
+            if _rejected(prog, x + mid * d, p, kb):
+                outside = mid
+            else:
+                inside = mid
+        steps += [t * (1.0 + r) for t in (inside, outside) for r in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9)]
+    Y = x + np.array(steps)[:, None] * d
+    far = x.copy()
+    far[-1] = np.linalg.eigvalsh(H).max() + 2.0 * p + 1.0
+    screen = solver._DomainScreen(prog, kb).at(x, p)
+    flags = screen(np.vstack([Y, far]))
+    assert flags[-1]  # the screen is not trivially silent
+    for y in Y[flags[:-1]]:
+        assert _rejected(prog, y, p, kb)
+
+
+class _NoScreen:
+    """A domain screen that flags nothing."""
+
+    def __init__(self, *args):
+        pass
+
+    def at(self, *args):
+        return self
+
+    def __call__(self, Y):
+        return np.zeros(len(Y), dtype=bool)
+
+
+def _solve_counting(monkeypatch, prog, cfg):
+    calls = [0]
+    evaluate = solver.augmented_objective
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return evaluate(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "augmented_objective", counted)
+        report = solve_sof(prog, cfg)
+    return pickle.dumps(report), calls[0]
+
+
+@pytest.mark.parametrize("args", [
+    ("NN1", "power"),
+    ("NN1", "lagrange"),
+    ("NN6", "lagrange"),
+    (1, 4, 2, 1),
+    (2, 4, 2, 2),
+], ids=["NN1-power", "NN1-lagrange", "NN6-lagrange", "planted-4x2x1", "planted-4x2x2"])
+def test_screen_keeps_every_report_and_saves_evaluations(monkeypatch, args):
+    make = _suite_program if isinstance(args[0], str) else _planted_program
+    prog, cfg = make(*args)
+    screened, calls = _solve_counting(monkeypatch, prog, cfg)
+    monkeypatch.setattr(solver, "_DomainScreen", _NoScreen)
+    unscreened, calls_unscreened = _solve_counting(monkeypatch, prog, cfg)
+    assert screened == unscreened
+    assert calls < calls_unscreened
