@@ -212,6 +212,8 @@ def load_instance(path) -> SystemInstance:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     for key in ("name", "A", "B", "C"):
         if key not in raw:
             raise InputError(f"{path}: missing field {key!r}")

@@ -233,7 +233,9 @@ def char_poly(sys) -> CharPoly:
         tr = MN[0, 0]
         for i in range(1, n):
             tr = tr + MN[i, i]
-        coeffs[n - k] = tr * (-1.0 / k)
+        # + 0.0 turns the -0.0 of an exact-zero coefficient into 0.0; the
+        # product, not -tr / k, fixes the rounding
+        coeffs[n - k] = tr * (-1.0 / k) + 0.0
         N = MN
         N[range(n), range(n)] += coeffs[n - k]
     return CharPoly(E, coeffs)

@@ -6,12 +6,13 @@ log barrier phi(t) = -p*log(1 - t/p) with multiplier and penalty updates in
 an outer loop and, inside, damped Newton steps on a finite-differenced
 Hessian with Armijo backtracking.
 
-Trial points outside the barrier domain are rejected.  Where rejections come
-in runs (the finite-difference probes of one coordinate, the backtracking of
-one line search), a domain screen proves a batch of them outside the domain
-from a Rayleigh-quotient bound and they are skipped without an evaluation:
-every evaluated point, and so every iterate, is the same as without the
-screen.  A skipped line-search step still counts as a trial.
+Trial points outside the barrier domain are rejected.  The finite-difference
+probes of one coordinate and the backtracking steps of one line search are
+each a fixed sequence walked in order; after its first rejected point, a
+domain screen proves the later points of the sequence outside the domain in
+one batch from a Rayleigh-quotient bound, and they are skipped without an
+evaluation.  The first accepted point, and so every iterate, is the same as
+without the screen.  A skipped line-search step still counts as a trial.
 """
 
 from __future__ import annotations
@@ -218,7 +219,9 @@ class _DomainScreen:
     test.
 
     One screen serves a solve; `at` points it at the base point of an inner
-    iteration, and the bound is built on the first call after that."""
+    iteration, and the bound is built on the first call after that.
+    _in_domain asks it once per trial sequence, about the points after the
+    sequence's first rejected one."""
 
     # The allowance is SCREEN_ROUNDING * (n + T) * eps * (|lambda| +
     # sum_t |v_t| ||C_t||_1), a bound on ||Z(y)||_2.  It covers the error of
@@ -261,88 +264,72 @@ class _DomainScreen:
         K, lam = Y[:, :-1], Y[:, -1]
         v = self._monomials(K)
         bound = lam - (v @ self._D).min(axis=1)
-        flagged = bound - self._tau * np.abs(lam) - np.abs(v) @ self._slack >= self._limit
+        over = bound - self._tau * np.abs(lam) - np.abs(v) @ self._slack
         if self.k_bound is not None:
-            # augmented_objective's box test: the same differences, compared
-            # the same way
-            z = np.maximum(-self.k_bound - K, K - self.k_bound)
-            flagged |= z.max(axis=1) >= self._limit
-        return flagged
+            # augmented_objective's box test: max(-k_bound - k_i, k_i -
+            # k_bound) is |k_i| - k_bound, rounded the same way
+            over = np.maximum(over, np.abs(K).max(axis=1) - self.k_bound)
+        return over >= self._limit
+
+
+def _in_domain(fun_grad, Y, screen=None):
+    """Evaluate the rows of Y in order and yield (j, f, g) for each row inside
+    the barrier domain.  After the first row outside it, `screen` (see
+    _DomainScreen) is asked about all later rows in one batch, and the rows
+    it flags are skipped unevaluated."""
+    skip = [False] * len(Y)
+    for j, y in enumerate(Y):
+        if skip[j]:
+            continue
+        try:
+            f, g = fun_grad(y)
+        except BarrierDomainError:
+            if screen is not None and j + 1 < len(Y):
+                skip[j + 1 :] = screen(Y[j + 1 :]).tolist()
+                screen = None
+            continue
+        yield j, f, g
 
 
 def _armijo(fun_grad, x, f, d, slope, screen=None):
     """Backtracking line search along d from x, where f = fun_grad(x)[0]
     and slope is the directional derivative; points outside the barrier
-    domain count as trials and are backtracked from.  From the second such
-    point on, `screen` (see _DomainScreen) is asked about the next steps in
-    one batch, and the steps it flags are skipped unevaluated, each still
-    counting as a trial.
+    domain, evaluated or skipped by `screen` (see _in_domain), count as
+    trials and are backtracked from.
 
     Returns (step, f, g, trials) at the accepted point, with f and g None
     when no step passes the Armijo test within MAX_LINESEARCH trials.
     """
-    step = 1.0
-    rejected = 0
-    flags = []  # screened verdicts on the next steps, the next one last
-    for trials in range(1, MAX_LINESEARCH + 1):
-        if flags and flags.pop():
-            step *= BACKTRACK
-            continue
-        try:
-            f_try, g_try = fun_grad(x + step * d)
-        except BarrierDomainError:
-            step *= BACKTRACK
-            rejected += 1
-            count = min(16, MAX_LINESEARCH - trials)
-            if screen is not None and rejected >= 2 and not flags and count:
-                # the same products as the repeated step *= BACKTRACK
-                steps = np.full(count, BACKTRACK)
-                steps[0] = step
-                steps = np.cumprod(steps)
-                flags = screen(x + steps[:, None] * d)[::-1].tolist()
-            continue
-        if f_try <= f + ARMIJO_C * step * slope:
-            return step, f_try, g_try, trials
-        step *= BACKTRACK
-    return step, None, None, MAX_LINESEARCH
+    # 1, BACKTRACK, BACKTRACK**2, ... as products of the previous step
+    steps = np.full(MAX_LINESEARCH, BACKTRACK)
+    steps[0] = 1.0
+    steps = np.cumprod(steps)
+    for j, f_try, g_try in _in_domain(fun_grad, x + steps[:, None] * d, screen):
+        if f_try <= f + ARMIJO_C * steps[j] * slope:
+            return float(steps[j]), f_try, g_try, j + 1
+    return None, None, None, MAX_LINESEARCH
 
 
 def _fd_hessian(fun_grad, x, g, screen=None):
     """Symmetrized finite-difference Hessian from the analytic gradient.
 
-    A probe outside the barrier domain is dropped and h shrinks by 1/8 when
-    both probes of a level are; when both level-0 probes of a coordinate
-    are, `screen` (see _DomainScreen) is asked about its other levels in one
-    batch, and the probes it flags are dropped unevaluated."""
+    Each coordinate is probed at +h, then -h, with h shrinking by 1/8 over
+    20 levels into the feasible strip; the first probe inside the barrier
+    domain gives the column, and none leaves it zero.  `screen` is passed
+    to _in_domain."""
     n = x.size
     H = np.zeros((n, n))
-    h0 = 1e-6 * (1.0 + np.abs(x))
-    signs = (1.0, -1.0)
+    # offsets[i]: +h, -h at each level, from h0 = 1e-6*(1 + |x_i|)
+    h = np.full((n, 20), 0.125)
+    h[:, 0] = 1e-6 * (1.0 + np.abs(x))
+    offsets = np.cumprod(h, axis=1).repeat(2, axis=1)
+    offsets[:, 1::2] *= -1.0
+    Y = np.empty((n, 40, n))  # Y[i, j] is probe j of coordinate i
+    Y[:] = x
     for i in range(n):
-        h = h0[i]
-        flags = None
-        for level in range(20):  # shrink into the feasible strip if needed
-            for j, sign in enumerate(signs):
-                if flags is not None and flags[level - 1, j]:
-                    continue
-                xp = x.copy()
-                xp[i] += sign * h
-                try:
-                    _, gp = fun_grad(xp)
-                except BarrierDomainError:
-                    continue
-                H[:, i] = sign * (gp - g) / h
-                break
-            else:
-                if level == 0 and screen is not None:
-                    # levels 1-19, the same products as the repeated h *= 0.125
-                    hs = np.full(20, 0.125)
-                    hs[0] = h
-                    Y = np.repeat(x[None, :], 38, axis=0)
-                    Y[:, i] += np.outer(np.cumprod(hs)[1:], signs).ravel()
-                    flags = screen(Y).reshape(19, 2)
-                h *= 0.125
-                continue
+        Y[i, :, i] += offsets[i]
+        for j, _, gp in _in_domain(fun_grad, Y[i], screen):
+            H[:, i] = (gp - g) / offsets[i, j]
             break
     return 0.5 * (H + H.T)
 
@@ -406,9 +393,9 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
     eig_min = float(np.linalg.eigvalsh(prog.h_eval(k0)).min())
     lam0 = cfg.lam0 if cfg.lam0 is not None else eig_min - 1.0
     lam_max = eig_min + cfg.p0 * (1.0 - 1e-12)
-    if not lam0 < lam_max:
+    if not -np.inf < lam0 < lam_max:
         raise InputError(
-            f"lam0 {lam0:.8g} must be below min eig H(k0) + p0 = {lam_max:.8g}"
+            f"lam0 {lam0:.8g} must be finite and below min eig H(k0) + p0 = {lam_max:.8g}"
         )
     x = np.concatenate([k0, [lam0]])
 

@@ -106,6 +106,7 @@ def test_solve_input_error_row_exits_2(flags, capsys):
     (["--tol-inner", "nan"], "tol_inner nan must be non-negative and finite"),
     (["--tol-outer", "-1"], "tol_outer -1 must be non-negative and finite"),
     (["--tol-inner", "inf"], "tol_inner inf must be non-negative and finite"),
+    (["--lambda0=-inf"], "lam0 -inf must be finite"),
 ])
 def test_solve_rejects_non_finite_or_negative_settings(flags, says, capsys):
     rc = main(["solve", "--fixture", "NN1", "--basis", "power"] + flags)
@@ -159,6 +160,8 @@ def test_solve_repeated_pole_instance_mirror_shift(capsys, tmp_path):
 NON_FINITE_PLANTS = {
     "nan": '{"name": "nan", "A": [[NaN, 1], [0, 1]], "B": [[0], [1]], "C": [[1, 0]]}',
     "inf": '{"name": "inf", "A": [[0, 1], [Infinity, 1]], "B": [[0], [1]], "C": [[1, 0]]}',
+    "number": "5",
+    "null": "null",
 }
 
 
@@ -174,8 +177,12 @@ NON_FINITE_PLANTS = {
     (["hermite", "--fixture", "NN1", "--basis", "lagrange", "--target-shift", "nan"],
      "shift nan must be finite"),
     (["cond", "--fixture", "AC4_openloop", "--K", "1,2"], "gain vector length 2"),
+    (["solve", "--fixture", "{number}"], "expected a JSON object, got int"),
+    (["hermite", "--fixture", "{null}", "--basis", "power"],
+     "expected a JSON object, got NoneType"),
 ], ids=["nan-instance", "inf-instance", "nan-gain", "inf-gain", "nan-root", "zero-P0",
-        "negative-P0", "nan-shift", "gains-without-variables"])
+        "negative-P0", "nan-shift", "gains-without-variables", "number-instance",
+        "null-instance"])
 def test_bad_outside_input_exits_2(argv, says, capsys, tmp_path):
     paths = {}
     for name, text in NON_FINITE_PLANTS.items():

@@ -48,6 +48,15 @@ def test_char_poly_nn1_closed_form():
     assert q.Q.tolist() == [[0.0, 0.0, 1.0], [-13.0, -5.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
 
 
+@pytest.mark.parametrize(
+    "plant", [_nn1(), _planted_plant(2, 4, 2, 2)], ids=["NN1", "planted-4x2x2"]
+)
+def test_char_poly_writes_no_negative_zeros(plant):
+    Q = char_poly(plant).Q
+    assert (Q == 0).any()
+    assert not np.signbit(Q[Q == 0]).any()
+
+
 def test_char_poly_matches_numeric_determinant(rng):
     for _ in range(6):
         n = int(rng.integers(2, 7))

@@ -532,6 +532,37 @@ def test_screen_flags_only_points_augmented_objective_rejects(
         assert _rejected(prog, y, p, kb)
 
 
+def test_in_domain_walks_rows_in_order_and_screens_once_after_the_first_rejection():
+    outside = {1.0, 2.0, 4.0, 6.0}
+    evaluated, asked = [], []
+
+    def fun_grad(y):
+        evaluated.append(float(y[0]))
+        if y[0] in outside:
+            raise BarrierDomainError("outside")
+        return -y[0], 2.0 * y
+
+    def screen(rows):
+        asked.append((list(evaluated), rows[:, 0].tolist()))
+        return np.isin(rows[:, 0], [2.0, 6.0])  # flags only rows outside
+
+    Y = np.arange(8.0)[:, None]
+    walked = [(j, f, g.tolist()) for j, f, g in solver._in_domain(fun_grad, Y, screen)]
+    assert walked == [(j, -float(j), [2.0 * j]) for j in (0, 3, 5, 7)]
+    # asked once, right after the first rejection, about the later rows only
+    assert asked == [([0.0, 1.0], [2.0, 3.0, 4.0, 5.0, 6.0, 7.0])]
+    assert evaluated == [0.0, 1.0, 3.0, 4.0, 5.0, 7.0]  # flagged rows never
+    # the walk stops where its consumer does
+    evaluated.clear()
+    assert next(solver._in_domain(fun_grad, Y, screen))[0] == 0
+    assert evaluated == [0.0]
+    # no rejection, or only on the last row: the screen is not asked
+    asked.clear()
+    for rows in ([[0.0], [3.0]], [[0.0], [1.0]]):
+        list(solver._in_domain(fun_grad, np.array(rows), screen))
+    assert asked == []
+
+
 class _NoScreen:
     """A domain screen that flags nothing."""
 
@@ -545,18 +576,26 @@ class _NoScreen:
         return np.zeros(len(Y), dtype=bool)
 
 
-def _solve_counting(monkeypatch, prog, cfg):
-    calls = [0]
+def _solve_recording(monkeypatch, prog, cfg):
+    """The pickled report and one (point, rejected) pair per evaluation, the
+    point keyed with the multiplier and penalty it was evaluated under."""
+    calls = []
     evaluate = solver.augmented_objective
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return evaluate(*args, **kwargs)
+    def recorded(prog, x, U, p, **kwargs):
+        key = (np.asarray(x).tobytes(), U.tobytes(), p)
+        try:
+            out = evaluate(prog, x, U, p, **kwargs)
+        except BarrierDomainError:
+            calls.append((key, True))
+            raise
+        calls.append((key, False))
+        return out
 
     with monkeypatch.context() as mp:
-        mp.setattr(solver, "augmented_objective", counted)
+        mp.setattr(solver, "augmented_objective", recorded)
         report = solve_sof(prog, cfg)
-    return pickle.dumps(report), calls[0]
+    return pickle.dumps(report), calls
 
 
 @pytest.mark.parametrize("args", [
@@ -569,8 +608,13 @@ def _solve_counting(monkeypatch, prog, cfg):
 def test_screen_keeps_every_report_and_saves_evaluations(monkeypatch, args):
     make = _suite_program if isinstance(args[0], str) else _planted_program
     prog, cfg = make(*args)
-    screened, calls = _solve_counting(monkeypatch, prog, cfg)
+    screened, calls = _solve_recording(monkeypatch, prog, cfg)
     monkeypatch.setattr(solver, "_DomainScreen", _NoScreen)
-    unscreened, calls_unscreened = _solve_counting(monkeypatch, prog, cfg)
+    unscreened, calls_unscreened = _solve_recording(monkeypatch, prog, cfg)
     assert screened == unscreened
-    assert calls < calls_unscreened
+    assert len(calls) < len(calls_unscreened)
+    # the screen only skips points the unscreened solve evaluates and rejects
+    rejected = dict(calls_unscreened)
+    points = {key for key, _ in calls}
+    assert points <= rejected.keys()
+    assert all(rejected[key] for key in rejected.keys() - points)
