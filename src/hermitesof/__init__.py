@@ -26,7 +26,6 @@ from .hermite import (
     NodeSet,
     ScalingDiag,
     cond_frobenius,
-    congruence_check,
     hermite_lagrange,
     hermite_power,
     power_scale,
@@ -56,11 +55,8 @@ from .solver import (
 from .stability import (
     TargetSpec,
     build_target,
-    interlacing_check,
-    is_hurwitz,
     nodes_from_target,
     roots,
-    routh_hurwitz,
 )
 from .systems import SystemInstance
 

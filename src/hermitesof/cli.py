@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
@@ -230,6 +231,23 @@ def _add_common(sp, target=True):
                         help="mirror unstable open-loop poles to this real part")
 
 
+# argparse reads a value that starts with "-" and is not a plain number,
+# such as "-1,2", as an option; a list value of these flags that starts like
+# a number is joined to its flag ("--K=-1,2") before parsing
+_LIST_FLAGS = ("--K", "--K0", "--roots")
+_NUMBER_START = re.compile(r"-[\d.]")
+
+
+def _join_list_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_FLAGS and _NUMBER_START.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hermitesof",
@@ -270,7 +288,7 @@ def main(argv=None) -> int:
     sp.add_argument("--out", help="also write CSV to this path")
     sp.set_defaults(fn=cmd_bench)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_list_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except HermiteSofError as exc:

@@ -301,18 +301,6 @@ def hermite_lagrange(q, nodes: NodeSet) -> HermiteForm:
     return HermiteForm(basis="lagrange", E=HP.E[keep], C=CL[keep], nodes=nodes)
 
 
-def congruence_check(q, nodes: NodeSet) -> float:
-    """Max entrywise deviation between the Lagrange matrix and the
-    Vandermonde congruence V* H^P V of the power-basis matrix, for a
-    numeric coefficient array q."""
-    HP = hermite_power(q).eval_at()
-    n = len(HP)
-    HL = hermite_lagrange(q, nodes).eval_at()
-    V = np.vander(np.asarray(nodes.values, dtype=complex), N=n, increasing=True).T
-    ref = V.conj().T @ HP @ V
-    return float(np.max(np.abs(HL - ref)))
-
-
 # -- scaling ---------------------------------------------------------------
 
 

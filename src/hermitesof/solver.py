@@ -6,17 +6,25 @@ log barrier phi(t) = -p*log(1 - t/p) with multiplier and penalty updates in
 an outer loop and, inside, damped Newton steps on a finite-differenced
 Hessian with Armijo backtracking.
 
+One evaluation of the augmented objective is one pass, in this order: the
+gain-box test, H(k) with every dH/dk_l (SofProgram.eval_stack), eigh, the
+barrier-domain test, the value, the gradient.  Its results are bit-for-bit
+those of composing constraint_eval, _objective and _phi.
+
 Trial points outside the barrier domain are rejected.  The finite-difference
 probes of one coordinate and the backtracking steps of one line search are
-each a fixed sequence walked in order; after its first rejected point, a
-domain screen proves the later points of the sequence outside the domain in
-one batch from a Rayleigh-quotient bound, and they are skipped without an
+each a fixed sequence walked in order; a coordinate's first probe is
+evaluated alone, and the rest of its sequence is built only when that probe
+is rejected.  After a sequence's first rejected point, a domain screen
+proves the later points of the sequence outside the domain in one batch
+from a Rayleigh-quotient bound, and they are skipped without an
 evaluation.  The first accepted point, and so every iterate, is the same as
 without the screen.  A skipped line-search step still counts as a trial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +68,8 @@ class SofProgram:
             idx = [index.setdefault(e, len(index)) for e in map(tuple, Eb.tolist())]
             C2 = np.ascontiguousarray(Cb.reshape(len(Cb), n * n))
             self._terms.append((np.array(idx, dtype=np.intp), C2))
-        self._E = np.array(list(index), dtype=E.dtype).reshape(len(index), self.mp)
+        # float exponents: k ** E casts integer ones to float on every call
+        self._E = np.array(list(index), dtype=float).reshape(len(index), self.mp)
         self._eye = np.eye(n)
         # H and each dG/dx_i flattened, the last row dG/dlambda = -I
         self._stack = np.zeros((self.mp + 2, n * n))
@@ -86,6 +95,12 @@ BACKTRACK = 0.5
 MAX_LINESEARCH = 60
 P_MIN = 1e-12  # floor of the penalty parameter
 STALL_WINDOW = 10  # outer iterations with lambda pinned <= 0 before giving up
+# the line-search steps 1, BACKTRACK, BACKTRACK**2, ...
+_STEPS = BACKTRACK ** np.arange(MAX_LINESEARCH)
+# the finite-difference probe offsets in units of h0: +1, -1, +1/8, -1/8, ...
+# over 20 levels; powers of two, so h0 * _FD_LEVELS is exact
+_FD_LEVELS = np.repeat(0.125 ** np.arange(20), 2) * np.tile([1.0, -1.0], 20)
+_STEPS.flags.writeable = _FD_LEVELS.flags.writeable = False
 
 
 @dataclass
@@ -154,6 +169,10 @@ def _phi_prime(z, p):
     return np.clip(1.0 / np.clip(1.0 - z / p, 1e-12, None), 1e-12, 1e12)
 
 
+_BOX_SIGNS = np.array([[-1.0], [1.0]])  # z = (-k - k_bound, k - k_bound)
+_BOX_SIGNS.flags.writeable = False
+
+
 def augmented_objective(
     prog: SofProgram,
     x,
@@ -167,42 +186,70 @@ def augmented_objective(
 
     When k_bound is given, the scalar constraints |k_i| <= k_bound enter
     through the same penalty with multipliers u_box[(lo, hi) x mp]; a point
-    outside the box is rejected before H(k) is evaluated."""
-    boxed = k_bound is not None and prog.mp > 0
+    outside the box is rejected before H(k) is evaluated.
+
+    One pass: box test, H(k) and its partials (SofProgram.eval_stack),
+    eigh, barrier-domain test, value, gradient.  Every value, gradient and
+    domain decision is bit-for-bit that of composing constraint_eval,
+    _objective and _phi, without their calls."""
+    x = np.ascontiguousarray(x, dtype=float)
+    mp, n = prog.mp, prog.H.n
+    if x.size != mp + 1:
+        raise InputError(f"decision vector length {x.size}, expected {mp + 1}")
+    k, lam = x[:-1], x[-1]
+    limit = p * (1.0 - 1e-12)
+    boxed = k_bound is not None and mp > 0
     if boxed:
-        k = np.asarray(x, dtype=float)[:-1]
-        z_lo = -k_bound - k  # -k_i <= k_bound
-        z_hi = k - k_bound  # k_i <= k_bound
-        if max(z_lo.max(), z_hi.max()) >= p * (1.0 - 1e-12):
+        # -k_i <= k_bound, k_i <= k_bound; (-k_i) - k_bound rounds as
+        # -k_bound - k_i does
+        z = _BOX_SIGNS * k - k_bound
+        if z.max() >= limit:
             raise BarrierDomainError("iterate left the gain box domain")
-    G, dG = constraint_eval(prog, x)
-    Z = -G
-    w, Q = np.linalg.eigh(Z)
-    if w.max() >= p * (1.0 - 1e-12):
+    S = prog.eval_stack(k).reshape(mp + 2, n, n)
+    w, Q = np.linalg.eigh(-(S[0] - lam * prog._eye))
+    if w.max() >= limit:
         raise BarrierDomainError("iterate left the barrier domain")
-    phi = _phi(w, p)
+    wp = w / -p  # is -w / p exactly
+    phi = -p * np.log1p(wp)
 
     Ut = Q.T @ U @ Q
-    f, g = _objective(prog, x)
-    val = f + float((Ut.diagonal() * phi).sum())
+    # f = mu*||k|| - lambda, with np.linalg.norm's sqrt(k . k)
+    nk = math.sqrt(k.dot(k))
+    val = prog.mu * nk - lam + float((Ut.diagonal() * phi).sum())
 
-    # divided-difference matrix of phi on the spectrum
-    dw = w[:, None] - w[None, :]
-    aw = np.abs(w)
-    close = np.abs(dw) <= 1e-12 * (1.0 + aw[:, None] + aw[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Gamma = (phi[:, None] - phi[None, :]) / dw
-    mid = 0.5 * (w[:, None] + w[None, :])
-    Gamma[close] = (1.0 / (1.0 - mid / p))[close]
+    # divided-difference matrix of phi on the spectrum; a pair within
+    # 1e-12*(1 + |w_i| + |w_j|), the diagonal always, takes phi' at the
+    # midpoint.  w ascends, so w_j - w_i >= w_{i+1} - w_i for i < j, and a
+    # smallest neighbour gap above 4e-12*(1 + max|w|) leaves only the
+    # diagonal, whose midpoint is w_i itself while |w| < 1e300.
+    W = max(-w[0], w[-1])
+    if (w[1:] - w[:-1]).min(initial=np.inf) > 4e-12 * (1.0 + W) and W < 1e300:
+        # + I: no 0/0 on the diagonal, which is overwritten
+        Gamma = (phi[:, None] - phi[None, :]) / (w[:, None] - w[None, :] + prog._eye)
+        Gamma.flat[:: n + 1] = 1.0 / (1.0 + wp)
+    else:
+        dw = w[:, None] - w[None, :]
+        aw = np.abs(w)
+        close = np.abs(dw) <= 1e-12 * (1.0 + aw[:, None] + aw[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Gamma = (phi[:, None] - phi[None, :]) / dw
+        mid = 0.5 * (w[:, None] + w[None, :])
+        Gamma[close] = (1.0 / (1.0 - mid / p))[close]
 
     M = Ut * Gamma
-    grad = g + np.sum(M * (Q.T @ (-dG) @ Q), axis=(1, 2))
+    grad = (M * (Q.T @ (-S[1:]) @ Q)).reshape(mp + 1, n * n).sum(axis=1)
+    # + the gradient of f, (mu*k/||k||, -1), as _objective builds it
+    grad[:-1] += prog.mu * k / nk if nk > 0 else 0.0
+    grad[-1] += -1.0
 
     if boxed:
         if u_box is None:
-            u_box = np.ones((2, prog.mp))
-        val += float(u_box[0] @ _phi(z_lo, p) + u_box[1] @ _phi(z_hi, p))
-        grad[:-1] += u_box[1] / (1.0 - z_hi / p) - u_box[0] / (1.0 - z_lo / p)
+            u_box = np.ones((2, mp))
+        zp = z / -p
+        phi_box = -p * np.log1p(zp)
+        val += float(u_box[0] @ phi_box[0] + u_box[1] @ phi_box[1])
+        r = u_box / (1.0 + zp)
+        grad[:-1] += r[1] - r[0]
     return val, grad
 
 
@@ -300,13 +347,9 @@ def _armijo(fun_grad, x, f, d, slope, screen=None):
     Returns (step, f, g, trials) at the accepted point, with f and g None
     when no step passes the Armijo test within MAX_LINESEARCH trials.
     """
-    # 1, BACKTRACK, BACKTRACK**2, ... as products of the previous step
-    steps = np.full(MAX_LINESEARCH, BACKTRACK)
-    steps[0] = 1.0
-    steps = np.cumprod(steps)
-    for j, f_try, g_try in _in_domain(fun_grad, x + steps[:, None] * d, screen):
-        if f_try <= f + ARMIJO_C * steps[j] * slope:
-            return float(steps[j]), f_try, g_try, j + 1
+    for j, f_try, g_try in _in_domain(fun_grad, x + _STEPS[:, None] * d, screen):
+        if f_try <= f + ARMIJO_C * _STEPS[j] * slope:
+            return float(_STEPS[j]), f_try, g_try, j + 1
     return None, None, None, MAX_LINESEARCH
 
 
@@ -315,22 +358,31 @@ def _fd_hessian(fun_grad, x, g, screen=None):
 
     Each coordinate is probed at +h, then -h, with h shrinking by 1/8 over
     20 levels into the feasible strip; the first probe inside the barrier
-    domain gives the column, and none leaves it zero.  `screen` is passed
-    to _in_domain."""
+    domain gives the column, and none leaves it zero.  The first probe,
+    +h0, is evaluated alone; the 39 later ones are built only when it is
+    rejected, and then `screen` is asked about them once, as _in_domain
+    asks after a rejection."""
     n = x.size
     H = np.zeros((n, n))
-    # offsets[i]: +h, -h at each level, from h0 = 1e-6*(1 + |x_i|)
-    h = np.full((n, 20), 0.125)
-    h[:, 0] = 1e-6 * (1.0 + np.abs(x))
-    offsets = np.cumprod(h, axis=1).repeat(2, axis=1)
-    offsets[:, 1::2] *= -1.0
-    Y = np.empty((n, 40, n))  # Y[i, j] is probe j of coordinate i
-    Y[:] = x
+    h0 = 1e-6 * (1.0 + np.abs(x))
     for i in range(n):
-        Y[i, :, i] += offsets[i]
-        for j, _, gp in _in_domain(fun_grad, Y[i], screen):
-            H[:, i] = (gp - g) / offsets[i, j]
-            break
+        y = x.copy()
+        y[i] += h0[i]
+        try:
+            _, gp = fun_grad(y)
+        except BarrierDomainError:
+            h = h0[i] * _FD_LEVELS[1:]
+            Y = np.empty((len(h), n))
+            Y[:] = x
+            Y[:, i] += h
+            if screen is not None:
+                keep = ~screen(Y)
+                Y, h = Y[keep], h[keep]
+            for j, _, gp in _in_domain(fun_grad, Y):
+                H[:, i] = (gp - g) / h[j]
+                break
+        else:
+            H[:, i] = (gp - g) / h0[i]
     return 0.5 * (H + H.T)
 
 

@@ -1,4 +1,4 @@
-"""Root-based stability oracles, the Routh array, and target polynomials.
+"""Polynomial roots, target polynomials and the nodes taken from them.
 
 Polynomials here are numeric: arrays of ascending coefficients."""
 
@@ -46,45 +46,6 @@ def roots(q) -> np.ndarray:
             r = r - _horner(q, r) / fp
         polished.append(r)
     return np.asarray(polished)
-
-
-def is_hurwitz(q) -> tuple[bool, float]:
-    """(stable, margin): stable iff every root has strictly negative real part;
-    margin is the largest real part."""
-    rts = roots(q)
-    margin = float(np.max(rts.real))
-    return margin < 0.0, margin
-
-
-def routh_hurwitz(q) -> bool:
-    """Tabular Routh array test; zero first-column pivots fall back to an
-    epsilon perturbation."""
-    c = np.asarray(q, dtype=float)
-    d = poly_degree(c)
-    if d < 1:
-        raise DegenerateInputError("degree must be at least 1")
-    if c[d] < 0:
-        c = -c
-    desc = c[d::-1]
-    width = (d + 2) // 2
-    row0 = np.zeros(width)
-    row1 = np.zeros(width)
-    row0[: len(desc[0::2])] = desc[0::2]
-    row1[: len(desc[1::2])] = desc[1::2]
-    scale = np.max(np.abs(desc))
-    eps = 1e-30 * max(scale, 1.0)
-    first_col = [row0[0]]
-    prev, cur = row0, row1
-    for _ in range(d):
-        pivot = cur[0]
-        if pivot == 0.0:
-            pivot = eps
-        first_col.append(pivot)
-        nxt = np.zeros(width)
-        for j in range(width - 1):
-            nxt[j] = (pivot * prev[j + 1] - prev[0] * cur[j + 1]) / pivot
-        prev, cur = cur, nxt
-    return all(v > 0 for v in first_col)
 
 
 @dataclass(frozen=True)
@@ -156,28 +117,3 @@ def nodes_from_target(target: np.ndarray, part: str | None = None) -> NodeSet:
             "switch the node part or adjust the target"
         )
     return NodeSet.from_values(roots(sel))
-
-
-def interlacing_check(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff the roots of both split parts a, b (see `split_re_im`) are
-    real and strictly interlace."""
-    da, db = poly_degree(a), poly_degree(b)
-    parts = [p for p, d in ((a, da), (b, db)) if d >= 1]
-    for p in parts:
-        for r in roots(p):
-            if abs(r.imag) > _MARGINAL * (1.0 + abs(r)):
-                return False
-    if da < 1 or db < 1:
-        return True  # a constant part interlaces vacuously
-    ra, rb = roots(a), roots(b)
-    sa = np.sort(ra.real)
-    sb = np.sort(rb.real)
-    if abs(len(sa) - len(sb)) != 1:
-        return False
-    lo, hi = (sa, sb) if len(sa) > len(sb) else (sb, sa)
-    # strict alternation: each short-list root sits strictly between
-    # consecutive long-list roots
-    for i, r in enumerate(hi):
-        if not (lo[i] + _MARGINAL < r < lo[i + 1] - _MARGINAL):
-            return False
-    return True

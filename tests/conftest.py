@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from hermitesof.hermite import HermiteForm
-from hermitesof.polynomials import poly_from_roots
+from hermitesof.errors import DegenerateInputError
+from hermitesof.hermite import HermiteForm, NodeSet, hermite_lagrange, hermite_power
+from hermitesof.polynomials import poly_degree, poly_from_roots
+from hermitesof.stability import roots
 
 
 def relerr(actual, expected):
@@ -36,6 +38,91 @@ def random_stable_poly(rng, degree):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# -- stability and congruence oracles -----------------------------------------
+#
+# Checks that only the tests call: a root-based Hurwitz test, the Routh
+# array, root interlacing of the split parts, and the Vandermonde congruence
+# between the Lagrange and power bases.
+
+MARGINAL = 1e-9  # the imaginary-part and separation margin of interlacing_check
+
+
+def is_hurwitz(q) -> tuple[bool, float]:
+    """(stable, margin): stable iff every root has strictly negative real part;
+    margin is the largest real part."""
+    rts = roots(q)
+    margin = float(np.max(rts.real))
+    return margin < 0.0, margin
+
+
+def routh_hurwitz(q) -> bool:
+    """Tabular Routh array test; zero first-column pivots fall back to an
+    epsilon perturbation."""
+    c = np.asarray(q, dtype=float)
+    d = poly_degree(c)
+    if d < 1:
+        raise DegenerateInputError("degree must be at least 1")
+    if c[d] < 0:
+        c = -c
+    desc = c[d::-1]
+    width = (d + 2) // 2
+    row0 = np.zeros(width)
+    row1 = np.zeros(width)
+    row0[: len(desc[0::2])] = desc[0::2]
+    row1[: len(desc[1::2])] = desc[1::2]
+    scale = np.max(np.abs(desc))
+    eps = 1e-30 * max(scale, 1.0)
+    first_col = [row0[0]]
+    prev, cur = row0, row1
+    for _ in range(d):
+        pivot = cur[0]
+        if pivot == 0.0:
+            pivot = eps
+        first_col.append(pivot)
+        nxt = np.zeros(width)
+        for j in range(width - 1):
+            nxt[j] = (pivot * prev[j + 1] - prev[0] * cur[j + 1]) / pivot
+        prev, cur = cur, nxt
+    return all(v > 0 for v in first_col)
+
+
+def interlacing_check(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff the roots of both split parts a, b (see `split_re_im`) are
+    real and strictly interlace."""
+    da, db = poly_degree(a), poly_degree(b)
+    parts = [p for p, d in ((a, da), (b, db)) if d >= 1]
+    for p in parts:
+        for r in roots(p):
+            if abs(r.imag) > MARGINAL * (1.0 + abs(r)):
+                return False
+    if da < 1 or db < 1:
+        return True  # a constant part interlaces vacuously
+    ra, rb = roots(a), roots(b)
+    sa = np.sort(ra.real)
+    sb = np.sort(rb.real)
+    if abs(len(sa) - len(sb)) != 1:
+        return False
+    lo, hi = (sa, sb) if len(sa) > len(sb) else (sb, sa)
+    # strict alternation: each short-list root sits strictly between
+    # consecutive long-list roots
+    for i, r in enumerate(hi):
+        if not (lo[i] + MARGINAL < r < lo[i + 1] - MARGINAL):
+            return False
+    return True
+
+
+def congruence_check(q, nodes: NodeSet) -> float:
+    """Max entrywise deviation between the Lagrange matrix and the
+    Vandermonde congruence V* H^P V of the power-basis matrix, for a
+    numeric coefficient array q."""
+    HP = hermite_power(q).eval_at()
+    n = len(HP)
+    HL = hermite_lagrange(q, nodes).eval_at()
+    V = np.vander(np.asarray(nodes.values, dtype=complex), N=n, increasing=True).T
+    ref = V.conj().T @ HP @ V
+    return float(np.max(np.abs(HL - ref)))
 
 
 # -- symbolic reference paths -------------------------------------------------

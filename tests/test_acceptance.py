@@ -24,7 +24,6 @@ from hermitesof.hermite import (
     hermite_lagrange,
     hermite_power,
     cond_frobenius,
-    congruence_check,
     power_scale,
     scaled_hermite,
     scaling_from_numeric,
@@ -35,7 +34,7 @@ from hermitesof.solver import SofProgram, SolveConfig, augmented_objective, cons
 from hermitesof.stability import nodes_from_target, roots
 from hermitesof.systems import SystemInstance
 
-from conftest import random_numeric_poly, random_stable_poly, relerr
+from conftest import congruence_check, random_numeric_poly, random_stable_poly, relerr
 from test_hermite import AC4_HP, NN1_HS11, NN5_HP, NN6_EX5_HS11, NN6_HP33
 from test_solver import _random_form
 

@@ -77,6 +77,20 @@ def test_display_commands_exit_cleanly_on_every_fixture(fixture, capsys):
         assert "Traceback" not in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["verify", "--fixture", "NN1", "--K", "-1,2"], "stable: false"),
+    (["hermite", "--fixture", "NN1", "--basis", "lagrange", "--roots", "-1,-2,-3"], "H(1,1) = "),
+    (["solve", "--fixture", "NN1", "--basis", "power", "--K0", "-1,2e4"], "[-1 20000]"),
+], ids=["verify-K", "hermite-roots", "solve-K0"])
+def test_list_values_may_start_with_a_minus_sign(argv, says, capsys):
+    # argparse alone reads "-1,2" as an option; the "=" form always worked
+    rc = main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"])
+    joined = capsys.readouterr()
+    assert main(argv) == rc
+    assert capsys.readouterr() == joined
+    assert says in joined.out
+
+
 def test_verify_unstable_open_loop(capsys):
     rc = main(["verify", "--fixture", "AC4", "--K", "0,0"])
     out = capsys.readouterr().out

@@ -10,7 +10,6 @@ from hermitesof.errors import DegenerateInputError, InputError, UnsupportedNodeE
 from hermitesof.hermite import (
     NodeSet,
     cond_frobenius,
-    congruence_check,
     hermite_lagrange,
     hermite_power,
     power_scale,
@@ -28,7 +27,13 @@ from hermitesof.polynomials import (
 from hermitesof.stability import TargetSpec, build_target, nodes_from_target, roots
 from hermitesof.systems import SystemInstance
 
-from conftest import random_numeric_poly, random_stable_poly, relerr, symbolic_bezoutian
+from conftest import (
+    congruence_check,
+    random_numeric_poly,
+    random_stable_poly,
+    relerr,
+    symbolic_bezoutian,
+)
 
 
 REG = registry()

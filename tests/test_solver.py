@@ -229,6 +229,56 @@ def _reference_augmented_objective(prog, x, U, p, k_bound, u_box):
     return val, grad
 
 
+def _reference_rejects(prog, x, p, k_bound):
+    """augmented_objective's domain rule on the reference G: the gain box,
+    then max eig(-G), each against p*(1 - 1e-12)."""
+    k = x[:-1]
+    limit = p * (1.0 - 1e-12)
+    if max((-k_bound - k).max(), (k - k_bound).max()) >= limit:
+        return True
+    G, _ = _reference_constraint_eval(prog, x)
+    return np.linalg.eigh(-G)[0].max() >= limit
+
+
+def _rejects_along(prog, base, d, p):
+    return lambda s: _reference_rejects(prog, base + s * d, p, 1e4)
+
+
+def _bisect(rejects, inside, outside):
+    """Points at and within about 1e-12 relative of the edge between the
+    scalars inside and outside, on both sides of it."""
+    assert not rejects(inside) and rejects(outside)
+    while abs(outside - inside) > 1e-13 * max(1.0, abs(outside)):
+        mid = 0.5 * (inside + outside)
+        inside, outside = (inside, mid) if rejects(mid) else (mid, outside)
+    return [s * (1.0 + r) for s in (inside, outside) for r in (-1e-12, -4e-16, 0.0, 4e-16, 1e-12)]
+
+
+def _assert_matches_reference(prog, x, U, p, u_box):
+    """True where augmented_objective rejects x; it must reject exactly where
+    the reference rule does and elsewhere return the reference's bits."""
+    rejected = _reference_rejects(prog, x, p, 1e4)
+    try:
+        val, grad = augmented_objective(prog, x, U, p, k_bound=1e4, u_box=u_box)
+    except BarrierDomainError:
+        assert rejected
+        return True
+    assert not rejected
+    val_ref, grad_ref = _reference_augmented_objective(prog, x, U, p, 1e4, u_box)
+    assert np.array_equal(val, val_ref)
+    assert np.array_equal(grad, grad_ref)
+    return False
+
+
+def _split_pair_program(gap):
+    """H(k) = (1 + k1) I + diag(0, gap) + k2 [[0, 1], [1, 0]]: at k2 = 0 an
+    eigenvalue pair gap apart, whose k2-derivative mixes the pair."""
+    one, k1, k2 = (0, 0), (1, 0), (0, 1)
+    entries = [[{one: 1.0, k1: 1.0}, {k2: 1.0}],
+               [{k2: 1.0}, {one: 1.0 + gap, k1: 1.0}]]
+    return SofProgram(pack_entries("power", entries, 2), mu=0.1, m=1, p=2)
+
+
 def test_shared_monomial_pass_is_bitwise_equal_to_per_block_path(rng):
     mirror = TargetSpec(mode="mirror-shift", shift=-0.5)
     plant = _planted_plant(2, 4, 2, 2)
@@ -253,11 +303,18 @@ def test_shared_monomial_pass_is_bitwise_equal_to_per_block_path(rng):
         # k2 does not occur: its derivative block is empty
         SofProgram(pack_entries("power", entries, 2), mu=0.1, m=1, p=2),
     ]
+    # eigenvalue pairs coalesced, near the coalescing tolerance
+    # 1e-12*(1 + |w_i| + |w_j|) on either side, and clear of it
+    split = [_split_pair_program(gap)
+             for gap in (0.0, 1e-13, 1e-12, 2.5e-12, 5e-12, 1e-11, 3e-11)]
+    programs += split
     p = 0.05
     for prog in programs:
         n, mp = prog.H.n, prog.mp
         for t in range(20):
             k = rng.standard_normal(mp)
+            if any(prog is s for s in split):
+                k[1] = 0.0  # keeps the pair gap apart
             # alternate a deep interior point and one near the barrier edge
             lam = float(np.linalg.eigvalsh(prog.h_eval(k)).min()) + (0.5 * p if t % 2 else -1.0)
             x = np.append(k, lam)
@@ -270,10 +327,35 @@ def test_shared_monomial_pass_is_bitwise_equal_to_per_block_path(rng):
             A = rng.standard_normal((n, n))
             U = (A @ A.T + np.eye(n)) / n
             u_box = rng.uniform(0.5, 2.0, (2, mp))
-            val, grad = augmented_objective(prog, x, U, p, k_bound=1e4, u_box=u_box)
-            val_ref, grad_ref = _reference_augmented_objective(prog, x, U, p, 1e4, u_box)
-            assert np.array_equal(val, val_ref)
-            assert np.array_equal(grad, grad_ref)
+            assert not _assert_matches_reference(prog, x, U, p, u_box)
+
+            if t >= 6:
+                continue
+            # from the first points: points bisected onto the barrier edge,
+            # along lambda and along a random direction, and onto the
+            # gain-box edge of one gain
+            e_lam = np.zeros(mp + 1)
+            e_lam[-1] = 1.0
+            d = rng.standard_normal(mp + 1)
+            d[-1] = abs(d[-1]) + 1.0  # lambda grows: the edge lies ahead
+            s_far = 1.0
+            while not _rejects_along(prog, x, d, p)(s_far):
+                s_far *= 2.0
+            walks = [(x, e_lam, 2.0), (x, d, s_far)]
+            i = rng.integers(mp)
+            k_box = k.copy()
+            k_box[i] = rng.choice([-1.0, 1.0]) * 1e4
+            H_box = prog.h_eval(k_box)
+            # lambda far enough below the barrier edge for the whole walk
+            lam_box = np.linalg.eigvalsh(H_box).min() - 1.0 - 1e-6 * np.abs(H_box).sum()
+            e_k = np.zeros(mp + 1)
+            e_k[i] = np.sign(k_box[i])
+            walks.append((np.append(k_box, lam_box) - 0.5 * e_k, e_k, 1.0))
+            for base, direction, s_out in walks:
+                steps = _bisect(_rejects_along(prog, base, direction, p), 0.0, s_out)
+                outcomes = {_assert_matches_reference(prog, base + s * direction, U, p, u_box)
+                            for s in steps}
+                assert outcomes == {False, True}
 
 
 # -- end-to-end --------------------------------------------------------------
@@ -561,6 +643,92 @@ def test_in_domain_walks_rows_in_order_and_screens_once_after_the_first_rejectio
     for rows in ([[0.0], [3.0]], [[0.0], [1.0]]):
         list(solver._in_domain(fun_grad, np.array(rows), screen))
     assert asked == []
+
+
+def _reference_fd_hessian(fun_grad, x, g, screen=None):
+    """_fd_hessian as a walk over all 40 probes of each coordinate, built up
+    front (+h, -h per level, h from h0 = 1e-6*(1 + |x_i|) by products of
+    1/8): evaluated in order, and after the first rejected probe the screen
+    is asked once about the later ones."""
+    n = x.size
+    H = np.zeros((n, n))
+    h = np.full((n, 20), 0.125)
+    h[:, 0] = 1e-6 * (1.0 + np.abs(x))
+    offsets = np.cumprod(h, axis=1).repeat(2, axis=1)
+    offsets[:, 1::2] *= -1.0
+    Y = np.empty((n, 40, n))
+    Y[:] = x
+    for i in range(n):
+        Y[i, :, i] += offsets[i]
+        skip, ask = [False] * 40, screen
+        for j, y in enumerate(Y[i]):
+            if skip[j]:
+                continue
+            try:
+                _, gp = fun_grad(y)
+            except BarrierDomainError:
+                if ask is not None and j + 1 < 40:
+                    skip[j + 1 :] = ask(Y[i, j + 1 :]).tolist()
+                    ask = None
+                continue
+            H[:, i] = (gp - g) / offsets[i, j]
+            break
+    return 0.5 * (H + H.T)
+
+
+def _fd_walk(fd_hessian, x, g, probe, rejected, flagged, screened):
+    """fd_hessian on a stub objective that rejects the probes (i, j) in
+    `rejected`, with a stub screen that flags those in `flagged`; returns
+    the matrix bytes, the probes evaluated and the probes the screen was
+    asked about, in order."""
+    A = np.arange(x.size**2, dtype=float).reshape(x.size, x.size) / 7.0
+    evaluated, asked = [], []
+
+    def fun_grad(y):
+        assert y.tobytes() in probe, "not one of the 40 probes of a coordinate"
+        evaluated.append(probe[y.tobytes()])
+        if probe[y.tobytes()] in rejected:
+            raise BarrierDomainError("outside")
+        return 0.0, A @ y + np.sin(3.0 * y)
+
+    def screen(rows):
+        asked.append([probe[y.tobytes()] for y in rows])
+        return np.array([probe[y.tobytes()] in flagged for y in rows])
+
+    H = fd_hessian(fun_grad, x, g, screen if screened else None)
+    return H.tobytes(), evaluated, asked
+
+
+def test_fd_hessian_walks_the_probes_of_the_40_probe_walk(rng):
+    for case in range(30):
+        n = int(rng.integers(1, 5))
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        g = rng.standard_normal(n)
+        # probe (i, j) of coordinate i, keyed by its bytes
+        h0 = 1e-6 * (1.0 + np.abs(x))
+        probe = {}
+        for i in range(n):
+            for j in range(40):
+                y = x.copy()
+                y[i] += (-1.0) ** j * h0[i] * 0.125 ** (j // 2)
+                probe[y.tobytes()] = (i, j)
+        # each coordinate's first probe inside the domain: the first, a
+        # later one, or none; more rejections after it, and a screen that
+        # flags some of the rejected probes
+        first_in = rng.choice([0, 1, 2, 7, 40], n)
+        rejected = {(i, j) for i in range(n) for j in range(40)
+                    if j < first_in[i] or rng.random() < 0.3}
+        flagged = {ij for ij in rejected if rng.random() < 0.5}
+        for screened in (False, True):
+            walked = _fd_walk(solver._fd_hessian, x, g, probe, rejected, flagged, screened)
+            reference = _fd_walk(_reference_fd_hessian, x, g, probe, rejected, flagged, screened)
+            assert walked == reference
+
+
+def test_line_search_steps_are_the_products_of_the_backtracking_factor():
+    steps = np.full(solver.MAX_LINESEARCH, solver.BACKTRACK)
+    steps[0] = 1.0
+    assert solver._STEPS.tobytes() == np.cumprod(steps).tobytes()
 
 
 class _NoScreen:

@@ -7,17 +7,16 @@ from hermitesof.benchmarks import registry
 from hermitesof.errors import DegenerateInputError, NodeCountError
 from hermitesof.hermite import hermite_power
 from hermitesof.polynomials import poly_degree, poly_from_roots, split_re_im
-from hermitesof.stability import (
-    TargetSpec,
-    build_target,
+from hermitesof.stability import TargetSpec, build_target, nodes_from_target, roots
+
+from conftest import (
     interlacing_check,
     is_hurwitz,
-    nodes_from_target,
-    roots,
+    random_numeric_poly,
+    random_stable_poly,
+    relerr,
     routh_hurwitz,
 )
-
-from conftest import random_numeric_poly, random_stable_poly, relerr
 
 
 REG = registry()
