@@ -4,12 +4,14 @@ Decision vector x = (k, lambda); objective mu*||k|| - lambda subject to
 H(k) - lambda*I >= 0.  The constraint is handled through a shifted spectral
 log barrier phi(t) = -p*log(1 - t/p) with multiplier and penalty updates in
 an outer loop and, inside, damped Newton steps on a finite-differenced
-Hessian with Armijo backtracking.
+Hessian with Armijo backtracking.  By default U starts at tr U = 1, the KKT
+normalization (dL/dlambda = -1 + tr U), and a solve whose tr U passes
+U_DIVERGED after an outer update and convergence test ends as diverged.
 
 One evaluation of the augmented objective is one pass, in this order: the
 gain-box test, H(k) with every dH/dk_l (SofProgram.eval_stack), eigh, the
 barrier-domain test, the value, the gradient.  Its results are bit-for-bit
-those of composing constraint_eval, _objective and _phi.
+those of composing constraint_eval, _objective and phi (as -p*log1p(-t/p)).
 
 Trial points outside the barrier domain are rejected.  The finite-difference
 probes of one coordinate and the backtracking steps of one line search are
@@ -95,6 +97,7 @@ BACKTRACK = 0.5
 MAX_LINESEARCH = 60
 P_MIN = 1e-12  # floor of the penalty parameter
 STALL_WINDOW = 10  # outer iterations with lambda pinned <= 0 before giving up
+U_DIVERGED = 1e6  # tr U past this ends a solve as diverged; a KKT point has tr U = 1
 # the line-search steps 1, BACKTRACK, BACKTRACK**2, ...
 _STEPS = BACKTRACK ** np.arange(MAX_LINESEARCH)
 # the finite-difference probe offsets in units of h0: +1, -1, +1/8, -1/8, ...
@@ -158,11 +161,6 @@ def _objective(prog: SofProgram, x) -> tuple[float, np.ndarray]:
     return f, g
 
 
-def _phi(z, p):
-    """Shifted log penalty, elementwise; domain z < p."""
-    return -p * np.log1p(-z / p)
-
-
 def _phi_prime(z, p):
     """phi'(z) = 1 / (1 - z/p), clipped to [1e-12, 1e12] for the
     multiplier updates."""
@@ -191,7 +189,7 @@ def augmented_objective(
     One pass: box test, H(k) and its partials (SofProgram.eval_stack),
     eigh, barrier-domain test, value, gradient.  Every value, gradient and
     domain decision is bit-for-bit that of composing constraint_eval,
-    _objective and _phi, without their calls."""
+    _objective and phi evaluated as -p*log1p(-t/p), without their calls."""
     x = np.ascontiguousarray(x, dtype=float)
     mp, n = prog.mp, prog.H.n
     if x.size != mp + 1:
@@ -504,6 +502,10 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
             status = "converged" if lam - w.max() > 1e-9 else "infeasible-stall"
             break
 
+        if np.trace(U) > U_DIVERGED:
+            status = "diverged"
+            break
+
         if failed:
             fails += 1
             if fails >= 2:
@@ -530,21 +532,19 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         prev_viol = viol if viol > 0 else prev_viol
 
     k = x[:-1]
-    lam = float(x[-1])
     G, _ = constraint_eval(prog, x)
     min_eig = float(np.linalg.eigvalsh(G).min())
     f, _ = _objective(prog, x)
-    K = np.asarray(k).reshape((prog.m, prog.p), order="F")
     return SolveReport(
-        K=K,
-        lam=lam,
+        K=k.reshape((prog.m, prog.p), order="F"),
+        lam=float(x[-1]),
         outer_iters=outer,
         inner_iters=inner_total,
         linesearch_steps=ls_total,
         status=status,
         min_eig=min_eig,
         objective=f,
-        k=np.asarray(k),
+        k=k,
         history=history,
     )
 

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
-from hermitesof.benchmarks import DATA_DIR_ENV, rows_to_csv, run_experiment, table2_suite
+from hermitesof.benchmarks import (
+    DATA_DIR_ENV, ExperimentRow, rows_to_csv, run_experiment, table2_suite,
+)
 from hermitesof.cli import main
 
 
@@ -104,6 +106,17 @@ def test_solve_nn1_power(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "converged" in out
+
+
+def test_solve_diverged_row_exits_1_and_round_trips(capsys, tmp_path):
+    path = tmp_path / "row.csv"
+    rc = main(["solve", "--fixture", "AC4", "--basis", "power", "--format", "json",
+               "--out", str(path)])
+    row = _strict_json(capsys.readouterr().out)
+    assert rc == 1
+    assert row["status"] == "diverged"
+    # the JSON fields give back the CSV row that --out wrote
+    assert rows_to_csv([ExperimentRow(**row)]) == path.read_text()
 
 
 @pytest.mark.parametrize("flags", [["--K0", "0,2e4"], ["--mu", "-1"]])

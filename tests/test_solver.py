@@ -18,7 +18,6 @@ from hermitesof.solver import (
     SolveConfig,
     _newton_inner,
     _objective,
-    _phi,
     augmented_objective,
     constraint_eval,
     solve_sof,
@@ -201,6 +200,11 @@ def _reference_constraint_eval(prog, x):
         Cl = C[rows] * E[rows, l, None, None]
         grads.append(np.tensordot(np.prod(k**El, axis=1), Cl, axes=1))
     return G, grads + [-np.eye(n)]
+
+
+def _phi(z, p):
+    """Shifted log penalty, elementwise; domain z < p."""
+    return -p * np.log1p(-z / p)
 
 
 def _reference_augmented_objective(prog, x, U, p, k_bound, u_box):
@@ -786,3 +790,19 @@ def test_screen_keeps_every_report_and_saves_evaluations(monkeypatch, args):
     points = {key for key, _ in calls}
     assert points <= rejected.keys()
     assert all(rejected[key] for key in rejected.keys() - points)
+
+
+# -- divergence exit -----------------------------------------------------------
+
+
+def test_a_diverged_multiplier_ends_the_solve_at_its_first_crossing():
+    # AC4 in the power basis: tr U passes U_DIVERGED while the iterate stalls
+    prog, cfg = _suite_program("AC4", "power")
+    report = solve_sof(prog, cfg)
+    assert report.status == "diverged"
+    assert report.outer_iters < cfg.max_outer
+    assert len(report.history) == report.outer_iters
+    # one outer iteration fewer ends at the cap, on the same trajectory
+    capped = solve_sof(prog, dataclasses.replace(cfg, max_outer=report.outer_iters - 1))
+    assert capped.status == "max-iters"
+    assert capped.history == report.history[: capped.outer_iters]
