@@ -137,6 +137,7 @@ class HermiteForm:
         return self.C.shape[1]
 
     def eval_at(self, k: Sequence[float] | None = None) -> np.ndarray:
+        """H(k) = sum_t k**E[t] * C[t]; k may be omitted for a constant form."""
         if k is None:
             if self.E.any():
                 raise InputError("polynomial is not constant")
@@ -144,7 +145,8 @@ class HermiteForm:
         k = np.asarray(k, dtype=float)
         if k.shape != (self.nvars,):
             raise InputError(f"gain vector length {k.size}, expected {self.nvars}")
-        return eval_terms(self.E, self.C, k)
+        n = self.n
+        return np.dot((k**self.E).prod(axis=1), self.C.reshape(-1, n * n)).reshape(n, n)
 
     def entry(self, i: int, j: int) -> MultiPoly:
         """1-based entry accessor matching the display convention."""
@@ -161,11 +163,6 @@ class HermiteForm:
             [self.entry(i, j) for j in range(1, self.n + 1)]
             for i in range(1, self.n + 1)
         ]
-
-
-def eval_terms(E: np.ndarray, C: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sum_t k**E[t] * C[t] for a float gain vector k."""
-    return np.tensordot(np.prod(k**E, axis=1), C, axes=1)
 
 
 # -- power basis ---------------------------------------------------------

@@ -13,15 +13,15 @@ gain-box test, H(k) with every dH/dk_l (SofProgram.eval_stack), eigh, the
 barrier-domain test, the value, the gradient.  Its results are bit-for-bit
 those of composing constraint_eval, _objective and phi (as -p*log1p(-t/p)).
 
-Trial points outside the barrier domain are rejected.  The finite-difference
-probes of one coordinate and the backtracking steps of one line search are
-each a fixed sequence walked in order; a coordinate's first probe is
-evaluated alone, and the rest of its sequence is built only when that probe
-is rejected.  After a sequence's first rejected point, a domain screen
-proves the later points of the sequence outside the domain in one batch
-from a Rayleigh-quotient bound, and they are skipped without an
-evaluation.  The first accepted point, and so every iterate, is the same as
-without the screen.  A skipped line-search step still counts as a trial.
+Trial points outside the barrier domain are rejected.  The 40
+finite-difference probes of one coordinate and the backtracking steps of
+one line search are each a fixed sequence, and one walker, _in_domain,
+evaluates each in order.  After a sequence's first rejected point, a
+domain screen proves the later points of the sequence outside the domain
+in one batch from a Rayleigh-quotient bound, and they are skipped without
+an evaluation.  The first accepted point, and so every iterate, is the
+same as without the screen.  A skipped line-search step still counts as a
+trial.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ class SofProgram:
         self._stack[-1] = -self._eye.ravel()
 
     def h_eval(self, k) -> np.ndarray:
-        return self.eval_stack(k)[0].reshape(self._eye.shape)
+        """H(k) alone, by the form's own evaluator HermiteForm.eval_at."""
+        return self.H.eval_at(k)
 
     def eval_stack(self, k) -> np.ndarray:
         """H(k) and every dH/dk_l flattened, then -I: (mp+2, n*n)."""
@@ -198,8 +199,7 @@ def augmented_objective(
     limit = p * (1.0 - 1e-12)
     boxed = k_bound is not None and mp > 0
     if boxed:
-        # -k_i <= k_bound, k_i <= k_bound; (-k_i) - k_bound rounds as
-        # -k_bound - k_i does
+        # -k_i <= k_bound, k_i <= k_bound
         z = _BOX_SIGNS * k - k_bound
         if z.max() >= limit:
             raise BarrierDomainError("iterate left the gain box domain")
@@ -279,7 +279,7 @@ class _DomainScreen:
         E, C = prog.H.E, prog.H.C
         n, T = prog.H.n, len(C)
         self.k_bound = k_bound if prog.mp > 0 else None
-        self._E, self._C, self._C2 = E, C, C.reshape(T, n * n)
+        self._h_eval, self._C = prog.h_eval, C
         # v = prod_l P[l, E[t, l]] over a table P of each gain's powers,
         # gathered through flat indices into it
         self._deg = int(E.max(initial=0)) + 1
@@ -302,9 +302,7 @@ class _DomainScreen:
         """One flag per row of Y: True where augmented_objective would raise
         BarrierDomainError."""
         if self._D is None:
-            v = (self._x[:-1] ** self._E).prod(axis=1)
-            n = self._C.shape[1]
-            _, Q = np.linalg.eigh((v @ self._C2).reshape(n, n))
+            _, Q = np.linalg.eigh(self._h_eval(self._x[:-1]))
             self._D = np.einsum("ia,tia->ta", Q, self._C @ Q)
         K, lam = Y[:, :-1], Y[:, -1]
         v = self._monomials(K)
@@ -354,33 +352,20 @@ def _armijo(fun_grad, x, f, d, slope, screen=None):
 def _fd_hessian(fun_grad, x, g, screen=None):
     """Symmetrized finite-difference Hessian from the analytic gradient.
 
-    Each coordinate is probed at +h, then -h, with h shrinking by 1/8 over
-    20 levels into the feasible strip; the first probe inside the barrier
-    domain gives the column, and none leaves it zero.  The first probe,
-    +h0, is evaluated alone; the 39 later ones are built only when it is
-    rejected, and then `screen` is asked about them once, as _in_domain
-    asks after a rejection."""
+    Each coordinate's probes x + h0*_FD_LEVELS*e_i (+h, then -h, with h
+    shrinking by 1/8 over 20 levels into the feasible strip) are one trial
+    sequence, walked by _in_domain with `screen`; the first probe inside
+    the barrier domain gives the column, and none leaves it zero."""
     n = x.size
     H = np.zeros((n, n))
     h0 = 1e-6 * (1.0 + np.abs(x))
     for i in range(n):
-        y = x.copy()
-        y[i] += h0[i]
-        try:
-            _, gp = fun_grad(y)
-        except BarrierDomainError:
-            h = h0[i] * _FD_LEVELS[1:]
-            Y = np.empty((len(h), n))
-            Y[:] = x
-            Y[:, i] += h
-            if screen is not None:
-                keep = ~screen(Y)
-                Y, h = Y[keep], h[keep]
-            for j, _, gp in _in_domain(fun_grad, Y):
-                H[:, i] = (gp - g) / h[j]
-                break
-        else:
-            H[:, i] = (gp - g) / h0[i]
+        h = h0[i] * _FD_LEVELS
+        Y = np.tile(x, (len(h), 1))
+        Y[:, i] += h
+        for j, _, gp in _in_domain(fun_grad, Y, screen):
+            H[:, i] = (gp - g) / h[j]
+            break
     return 0.5 * (H + H.T)
 
 
@@ -427,6 +412,8 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
     k0 = np.zeros(mp) if cfg.k0 is None else np.asarray(cfg.k0, dtype=float)
     if k0.size != mp:
         raise InputError(f"k0 length {k0.size}, expected {mp}")
+    if not 0 < cfg.k_bound < np.inf:
+        raise InputError(f"k_bound {cfg.k_bound:.8g} must be positive and finite")
     # the start must lie in the domain of the barriers, or the first
     # evaluation fails inside the solver
     out = np.flatnonzero(~(np.abs(k0) <= cfg.k_bound))
@@ -436,6 +423,10 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         )
     if not 0 < cfg.p0 < np.inf:
         raise InputError(f"p0 {cfg.p0:.8g} must be positive and finite")
+    if cfg.u0 is not None and not 0 < cfg.u0 < np.inf:
+        raise InputError(f"u0 {cfg.u0:.8g} must be positive and finite")
+    if not 0 < cfg.sigma <= 1:
+        raise InputError(f"sigma {cfg.sigma:.8g} must lie in (0, 1]")
     for name in ("tol_inner", "tol_outer"):
         tol = getattr(cfg, name)
         if not 0 <= tol < np.inf:
@@ -487,7 +478,7 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         U = 0.5 * (U + U.T)
         if mp > 0:
             k = x[:-1]
-            z = np.vstack([-cfg.k_bound - k, k - cfg.k_bound])
+            z = _BOX_SIGNS * k - cfg.k_bound
             u_box = u_box * _phi_prime(z, p)
 
         gnorm = float(np.linalg.norm(g))

@@ -87,6 +87,7 @@ def _refuse_evaluation(monkeypatch):
         raise AssertionError("the objective was evaluated")
 
     monkeypatch.setattr(solver, "augmented_objective", refuse)
+    return refuse
 
 
 def test_solve_rejects_a_start_outside_the_gain_box(monkeypatch):
@@ -102,6 +103,24 @@ def test_solve_rejects_a_start_outside_the_barrier_domain(monkeypatch):
     _refuse_evaluation(monkeypatch)
     with pytest.raises(InputError, match=f"lam0 1000000 .* = {bound:.8g}"):
         solve_sof(prog, SolveConfig(k0=[0.0, 30.0], lam0=1e6))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("k_bound", np.inf), ("k_bound", 0.0), ("k_bound", -1.0), ("k_bound", np.nan),
+    ("u0", np.inf), ("u0", 0.0), ("u0", -1.0), ("u0", np.nan),
+    ("sigma", 5.0), ("sigma", 0.0), ("sigma", -0.3), ("sigma", np.nan),
+])
+def test_solve_rejects_a_setting_outside_its_range(monkeypatch, name, value):
+    (system, plant, cfg), = [
+        row for row in table1_suite() if row[0] == "NN1" and row[2].basis == "power"
+    ]
+    prog, scfg = _suite_program("NN1", "power")
+    scfg = dataclasses.replace(scfg, **{name: value})
+    monkeypatch.setattr(SofProgram, "h_eval", _refuse_evaluation(monkeypatch))
+    with pytest.raises(InputError, match=f"^{name} {value:.8g} must"):
+        solve_sof(prog, scfg)
+    row = run_single(system, plant, dataclasses.replace(cfg, solver=scfg))
+    assert row.status.startswith(f"error: {name} {value:.8g} must")
 
 
 def test_program_rejects_a_negative_mu():
@@ -554,6 +573,25 @@ SCREENED = [
     _suite_program("NN6", "lagrange"),
     _planted_program(2, 4, 2, 2),  # H of degree 4 in k
 ]
+
+
+@pytest.mark.parametrize("which", range(len(SCREENED)))
+def test_h_eval_is_the_forms_evaluator_and_the_first_block_of_eval_stack(which):
+    # the default lam0 comes from h_eval(k0), so one ulp between the three
+    # would move every solve
+    prog, cfg = SCREENED[which]
+    rng = np.random.default_rng([13, which])
+    kb = cfg.k_bound
+    gains = [np.zeros(prog.mp) if cfg.k0 is None else np.asarray(cfg.k0, dtype=float)]
+    gains += [scale * rng.standard_normal(prog.mp) for scale in (0.1, 1.0, 30.0) for _ in range(5)]
+    for _ in range(5):  # on the gain-box edge: one entry, then all
+        k = rng.standard_normal(prog.mp)
+        k[rng.integers(prog.mp)] = rng.choice([-kb, kb])
+        gains += [k, rng.choice([-kb, kb], prog.mp)]
+    for k in gains:
+        H = prog.h_eval(k)
+        assert H.shape == (prog.H.n, prog.H.n)
+        assert H.tobytes() == prog.H.eval_at(k).tobytes() == prog.eval_stack(k)[0].tobytes()
 
 
 def _rejected(prog, y, p, k_bound):
