@@ -229,20 +229,6 @@ def load_instance(path) -> SystemInstance:
         raise InputError(f"{path}: non-numeric or ragged matrix data: {exc}") from exc
 
 
-def save_instance(sys: SystemInstance, path) -> None:
-    Path(path).write_text(
-        json.dumps(
-            {
-                "name": sys.name,
-                "A": sys.A.tolist(),
-                "B": sys.B.tolist(),
-                "C": sys.C.tolist(),
-            },
-            indent=1,
-        )
-    )
-
-
 # -- experiment orchestration ---------------------------------------------
 
 
@@ -257,19 +243,22 @@ class ExperimentConfig:
     solver: SolveConfig | None = None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentRow:
+    """One solve's results; the defaults are those of a row without a solve
+    (an error or skipped row)."""
+
     system: str
     basis: str
     mu: float
-    k0: str
-    outer: int
-    inner: int
-    linesearch: int
-    K: str
-    lam: float
+    k0: str = "[]"
+    outer: int = 0
+    inner: int = 0
+    linesearch: int = 0
+    K: str = "[]"
+    lam: float = float("nan")
     status: str
-    stable: bool
+    stable: bool = False
 
 
 def _sym_poly(plant) -> tuple[CharPoly, int, int]:
@@ -338,17 +327,7 @@ def run_single(name: str, plant, cfg: ExperimentConfig) -> ExperimentRow:
         )
     except (HermiteSofError, np.linalg.LinAlgError) as exc:  # a row, not an abort
         return ExperimentRow(
-            system=name,
-            basis=cfg.basis,
-            mu=cfg.mu,
-            k0=k0_text,
-            outer=0,
-            inner=0,
-            linesearch=0,
-            K="[]",
-            lam=float("nan"),
-            status=f"error: {exc}",
-            stable=False,
+            system=name, basis=cfg.basis, mu=cfg.mu, k0=k0_text, status=f"error: {exc}"
         )
 
 
@@ -356,20 +335,11 @@ def run_experiment(
     instances: Sequence[tuple[str, object, ExperimentConfig]]
 ) -> list[ExperimentRow]:
     """Run each (name, plant, config) triple; plant=None marks missing data."""
-    rows = []
-    for name, plant, cfg in instances:
-        if plant is None:
-            rows.append(
-                ExperimentRow(
-                    system=name, basis=cfg.basis, mu=cfg.mu,
-                    k0="[]", outer=0, inner=0, linesearch=0, K="[]",
-                    lam=float("nan"), status="skipped: data not supplied",
-                    stable=False,
-                )
-            )
-            continue
-        rows.append(run_single(name, plant, cfg))
-    return rows
+    return [
+        ExperimentRow(system=name, basis=cfg.basis, mu=cfg.mu, status="skipped: data not supplied")
+        if plant is None else run_single(name, plant, cfg)
+        for name, plant, cfg in instances
+    ]
 
 
 CSV_HEADER = "system,basis,mu,K0,outer,inner,linesearch,K,lambda,status,stable"
@@ -384,27 +354,22 @@ def row_json(row: ExperimentRow) -> dict:
     }
 
 
+def _cells(r: ExperimentRow) -> list[str]:
+    """The row's cells in CSV_HEADER order, as CSV and text print them."""
+    lam = "nan" if math.isnan(r.lam) else f"{r.lam:.8g}"
+    return [r.system, r.basis, f"{r.mu:.8g}", r.k0, str(r.outer), str(r.inner),
+            str(r.linesearch), r.K, lam, r.status, str(r.stable).lower()]
+
+
 def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lam = "nan" if math.isnan(r.lam) else f"{r.lam:.8g}"
-        status = r.status.replace(",", ";")
-        lines.append(
-            f"{r.system},{r.basis},{r.mu:.8g},{r.k0},{r.outer},{r.inner},"
-            f"{r.linesearch},{r.K},{lam},{status},{str(r.stable).lower()}"
-        )
+    # a cell may not hold the separator: an error status's commas become ";"
+    lines = [CSV_HEADER] + [",".join(c.replace(",", ";") for c in _cells(r)) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def rows_to_text(rows: Sequence[ExperimentRow]) -> str:
     cols = CSV_HEADER.split(",")
-    table = [cols]
-    for r in rows:
-        lam = "nan" if math.isnan(r.lam) else f"{r.lam:.8g}"
-        table.append(
-            [r.system, r.basis, f"{r.mu:.8g}", r.k0, str(r.outer), str(r.inner),
-             str(r.linesearch), r.K, lam, r.status, str(r.stable).lower()]
-        )
+    table = [cols] + [_cells(r) for r in rows]
     widths = [max(len(row[i]) for row in table) for i in range(len(cols))]
     lines = [
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()

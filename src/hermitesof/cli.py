@@ -141,6 +141,18 @@ def cmd_cond(args) -> int:
     return 0
 
 
+def _write_rows(args, rows, payload) -> None:
+    """Print rows in args.format, `payload` being what json prints, and write
+    their CSV to args.out when it is given."""
+    if args.format == "json":
+        print(json.dumps(payload, indent=1))
+    else:
+        print((rows_to_csv if args.format == "csv" else rows_to_text)(rows))
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(rows_to_csv(rows))
+
+
 def cmd_solve(args) -> int:
     plant = get_plant(args.fixture)
     base = _suite_defaults(args.fixture, args.basis)
@@ -163,15 +175,7 @@ def cmd_solve(args) -> int:
     }
     cfg.solver = dataclasses.replace(cfg.solver or SolveConfig(), **overrides)
     row = run_single(args.fixture, plant, cfg)
-    if args.format == "json":
-        print(json.dumps(row_json(row), indent=1))
-    elif args.format == "csv":
-        print(rows_to_csv([row]))
-    else:
-        print(rows_to_text([row]))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rows_to_csv([row]))
+    _write_rows(args, [row], row_json(row))
     if row.status.startswith("error:"):
         return 2
     return 0 if row.status == "converged" and row.stable else 1
@@ -208,23 +212,19 @@ def cmd_bench(args) -> int:
     if args.suite not in suites:
         raise InputError(f"unknown suite {args.suite!r}")
     rows = run_experiment(suites[args.suite]())
-    if args.format == "csv":
-        out = rows_to_csv(rows)
-    elif args.format == "json":
-        out = json.dumps([row_json(r) for r in rows], indent=1)
-    else:
-        out = rows_to_text(rows)
-    print(out)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rows_to_csv(rows))
+    _write_rows(args, rows, [row_json(r) for r in rows])
     return 0
 
 
-def _add_common(sp, target=True):
+# the formats each command writes: a table of rows (solve, bench) or a display
+_ROW_FORMATS = ("text", "csv", "json")
+_DISPLAY_FORMATS = ("text", "json")
+
+
+def _add_common(sp, formats, target=True):
     sp.add_argument("--fixture", "--instance", dest="fixture", required=True,
                     help="embedded fixture name or instance JSON path")
-    sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    sp.add_argument("--format", choices=formats, default="text")
     if target:
         sp.add_argument("--roots", help="comma-separated target roots (complex ok)")
         sp.add_argument("--target-shift", type=float, default=None,
@@ -256,17 +256,17 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("hermite", help="print a Hermite matrix")
-    _add_common(sp)
+    _add_common(sp, _DISPLAY_FORMATS)
     sp.add_argument("--basis", choices=("power", "lagrange"), default="power")
     sp.set_defaults(fn=cmd_hermite)
 
     sp = sub.add_parser("cond", help="condition numbers across bases")
-    _add_common(sp)
+    _add_common(sp, _DISPLAY_FORMATS)
     sp.add_argument("--K", help="gains at which to evaluate a symbolic fixture")
     sp.set_defaults(fn=cmd_cond)
 
     sp = sub.add_parser("solve", help="solve the output-feedback program")
-    _add_common(sp)
+    _add_common(sp, _ROW_FORMATS)
     sp.add_argument("--basis", choices=("power", "lagrange"), default="lagrange")
     sp.add_argument("--mu", type=float, default=None)
     sp.add_argument("--K0", help="comma-separated initial gains")
@@ -278,13 +278,13 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("verify", help="closed-loop poles at a given gain")
-    _add_common(sp, target=False)
+    _add_common(sp, _DISPLAY_FORMATS, target=False)
     sp.add_argument("--K", required=True, help="comma-separated gains (column-major)")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("bench", help="run a benchmark suite")
     sp.add_argument("--suite", default="table1")
-    sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    sp.add_argument("--format", choices=_ROW_FORMATS, default="text")
     sp.add_argument("--out", help="also write CSV to this path")
     sp.set_defaults(fn=cmd_bench)
 

@@ -86,10 +86,6 @@ class NodeSet:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def all_real(self) -> bool:
-        return all(k == "real" for k in self.kinds)
-
     def blocks(self) -> list[tuple[int, int]]:
         """(start, size) block pattern: 1x1 for real nodes, 2x2 for pairs."""
         out = []

@@ -11,7 +11,10 @@ U_DIVERGED after an outer update and convergence test ends as diverged.
 One evaluation of the augmented objective is one pass, in this order: the
 gain-box test, H(k) with every dH/dk_l (SofProgram.eval_stack), eigh, the
 barrier-domain test, the value, the gradient.  Its results are bit-for-bit
-those of composing constraint_eval, _objective and phi (as -p*log1p(-t/p)).
+those of composing constraint_eval, the objective and phi (as
+-p*log1p(-t/p)).  Each outer iteration records (lambda, min eig of
+G = H(k) - lambda*I, f) from H(k) alone (SofProgram.h_eval), and the
+report reads the last record.
 
 Trial points outside the barrier domain are rejected.  The 40
 finite-difference probes of one coordinate and the backtracking steps of
@@ -27,6 +30,7 @@ trial.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,17 +155,6 @@ def constraint_eval(prog: SofProgram, x) -> tuple[np.ndarray, np.ndarray]:
     return S[0] - lam * prog._eye, S[1:]
 
 
-def _objective(prog: SofProgram, x) -> tuple[float, np.ndarray]:
-    k, lam = x[:-1], x[-1]
-    nk = float(np.linalg.norm(k))
-    f = prog.mu * nk - lam
-    g = np.zeros(x.size)
-    if nk > 0:
-        g[:-1] = prog.mu * k / nk
-    g[-1] = -1.0
-    return f, g
-
-
 def _phi_prime(z, p):
     """phi'(z) = 1 / (1 - z/p), clipped to [1e-12, 1e12] for the
     multiplier updates."""
@@ -189,8 +182,9 @@ def augmented_objective(
 
     One pass: box test, H(k) and its partials (SofProgram.eval_stack),
     eigh, barrier-domain test, value, gradient.  Every value, gradient and
-    domain decision is bit-for-bit that of composing constraint_eval,
-    _objective and phi evaluated as -p*log1p(-t/p), without their calls."""
+    domain decision is bit-for-bit that of composing constraint_eval, the
+    objective mu*||k|| - lambda with its gradient (mu*k/||k||, -1) and phi
+    evaluated as -p*log1p(-t/p), without their calls."""
     x = np.ascontiguousarray(x, dtype=float)
     mp, n = prog.mp, prog.H.n
     if x.size != mp + 1:
@@ -236,7 +230,7 @@ def augmented_objective(
 
     M = Ut * Gamma
     grad = (M * (Q.T @ (-S[1:]) @ Q)).reshape(mp + 1, n * n).sum(axis=1)
-    # + the gradient of f, (mu*k/||k||, -1), as _objective builds it
+    # + the gradient of f, (mu*k/||k||, -1)
     grad[:-1] += prog.mu * k / nk if nk > 0 else 0.0
     grad[-1] += -1.0
 
@@ -410,6 +404,8 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
     mp = prog.mp
     n = prog.H.n
     k0 = np.zeros(mp) if cfg.k0 is None else np.asarray(cfg.k0, dtype=float)
+    if k0.ndim != 1:
+        raise InputError(f"k0 of shape {k0.shape} must be a vector of {mp} gains")
     if k0.size != mp:
         raise InputError(f"k0 length {k0.size}, expected {mp}")
     if not 0 < cfg.k_bound < np.inf:
@@ -431,6 +427,10 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         tol = getattr(cfg, name)
         if not 0 <= tol < np.inf:
             raise InputError(f"{name} {tol:.8g} must be non-negative and finite")
+    for name in ("max_outer", "max_inner"):
+        cap = getattr(cfg, name)
+        if not (isinstance(cap, numbers.Integral) and cap >= 1):
+            raise InputError(f"{name} {cap} must be an integer >= 1")
     eig_min = float(np.linalg.eigvalsh(prog.h_eval(k0)).min())
     lam0 = cfg.lam0 if cfg.lam0 is not None else eig_min - 1.0
     lam_max = eig_min + cfg.p0 * (1.0 - 1e-12)
@@ -465,11 +465,11 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         inner_total += iters
         ls_total += trials
 
-        G, _ = constraint_eval(prog, x)
-        w, Q = np.linalg.eigh(-G)
+        k, lam = x[:-1], x[-1]
+        w, Q = np.linalg.eigh(-(prog.h_eval(k) - lam * prog._eye))
         viol = max(0.0, float(w.max()))
-        f, _ = _objective(prog, x)
-        lam = x[-1]
+        # f = mu*||k|| - lambda, as augmented_objective computes it
+        f = prog.mu * math.sqrt(k.dot(k)) - lam
         history.append((float(lam), float(-w.max()), float(f)))
 
         # spectral multiplier update: congruence with phi'(Z)^(1/2)
@@ -477,7 +477,6 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         U = W @ U @ W
         U = 0.5 * (U + U.T)
         if mp > 0:
-            k = x[:-1]
             z = _BOX_SIGNS * k - cfg.k_bound
             u_box = u_box * _phi_prime(z, p)
 
@@ -522,13 +521,11 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         prev_f = f
         prev_viol = viol if viol > 0 else prev_viol
 
-    k = x[:-1]
-    G, _ = constraint_eval(prog, x)
-    min_eig = float(np.linalg.eigvalsh(G).min())
-    f, _ = _objective(prog, x)
+    # x has not moved since the last record
+    lam, min_eig, f = history[-1]
     return SolveReport(
         K=k.reshape((prog.m, prog.p), order="F"),
-        lam=float(x[-1]),
+        lam=lam,
         outer_iters=outer,
         inner_iters=inner_total,
         linesearch_steps=ls_total,

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -267,3 +270,21 @@ def symbolic_bezoutian(q):
             entries[i][j] = acc
             entries[j][i] = acc
     return pack_entries("power", entries, q.nvars)
+
+
+# -- instance files -----------------------------------------------------------
+
+
+def save_instance(sys, path) -> None:
+    """Write a plant as an instance file that `load_instance` reads."""
+    Path(path).write_text(
+        json.dumps(
+            {
+                "name": sys.name,
+                "A": sys.A.tolist(),
+                "B": sys.B.tolist(),
+                "C": sys.C.tolist(),
+            },
+            indent=1,
+        )
+    )

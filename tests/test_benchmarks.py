@@ -12,7 +12,6 @@ from hermitesof.benchmarks import (
     rows_to_csv,
     run_experiment,
     run_single,
-    save_instance,
     table1_suite,
 )
 from hermitesof.cli import main
@@ -22,6 +21,7 @@ from hermitesof.solver import SolveConfig
 from hermitesof.stability import TargetSpec
 from hermitesof.systems import SystemInstance
 
+from conftest import save_instance
 from test_hermite import _planted_plant
 
 

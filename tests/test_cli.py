@@ -6,7 +6,7 @@ import re
 import pytest
 
 from hermitesof.benchmarks import (
-    DATA_DIR_ENV, ExperimentRow, rows_to_csv, run_experiment, table2_suite,
+    CSV_HEADER, DATA_DIR_ENV, ExperimentRow, rows_to_csv, run_experiment, table2_suite,
 )
 from hermitesof.cli import main
 
@@ -77,6 +77,22 @@ def test_display_commands_exit_cleanly_on_every_fixture(fixture, capsys):
     ):
         assert main(argv) in (0, 1, 2), argv
         assert "Traceback" not in capsys.readouterr().err, argv
+
+
+def test_only_the_row_commands_offer_csv(capsys, monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    for argv in (
+        ["hermite", "--fixture", "NN1"],
+        ["cond", "--fixture", "AC4_openloop"],
+        ["verify", "--fixture", "AC4", "--K", "0,0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2, argv
+        assert "invalid choice: 'csv'" in capsys.readouterr().err, argv
+    for argv in (["solve", "--fixture", "NN1", "--mu", "-1"], ["bench", "--suite", "table2"]):
+        main(argv + ["--format", "csv"])
+        assert capsys.readouterr().out.startswith(CSV_HEADER + "\n"), argv
 
 
 @pytest.mark.parametrize("argv, says", [

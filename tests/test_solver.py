@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from hermitesof.solver import (
     SofProgram,
     SolveConfig,
     _newton_inner,
-    _objective,
     augmented_objective,
     constraint_eval,
     solve_sof,
@@ -82,11 +82,11 @@ def _k_squared_program():
 # -- input checks -------------------------------------------------------------
 
 
-def _refuse_evaluation(monkeypatch):
+def _refuse_evaluation(monkeypatch, name="augmented_objective"):
     def refuse(*args, **kwargs):
-        raise AssertionError("the objective was evaluated")
+        raise AssertionError(f"{name} was called")
 
-    monkeypatch.setattr(solver, "augmented_objective", refuse)
+    monkeypatch.setattr(solver, name, refuse)
     return refuse
 
 
@@ -109,6 +109,8 @@ def test_solve_rejects_a_start_outside_the_barrier_domain(monkeypatch):
     ("k_bound", np.inf), ("k_bound", 0.0), ("k_bound", -1.0), ("k_bound", np.nan),
     ("u0", np.inf), ("u0", 0.0), ("u0", -1.0), ("u0", np.nan),
     ("sigma", 5.0), ("sigma", 0.0), ("sigma", -0.3), ("sigma", np.nan),
+    pytest.param("k0", np.zeros((1, 2)), id="k0-2d"),
+    ("max_outer", -3), ("max_outer", 2.5), ("max_inner", -1),
 ])
 def test_solve_rejects_a_setting_outside_its_range(monkeypatch, name, value):
     (system, plant, cfg), = [
@@ -116,11 +118,12 @@ def test_solve_rejects_a_setting_outside_its_range(monkeypatch, name, value):
     ]
     prog, scfg = _suite_program("NN1", "power")
     scfg = dataclasses.replace(scfg, **{name: value})
+    shown = f"of shape {value.shape}" if name == "k0" else f"{value:.8g}"
     monkeypatch.setattr(SofProgram, "h_eval", _refuse_evaluation(monkeypatch))
-    with pytest.raises(InputError, match=f"^{name} {value:.8g} must"):
+    with pytest.raises(InputError, match="^" + re.escape(f"{name} {shown} must")):
         solve_sof(prog, scfg)
-    row = run_single(system, plant, dataclasses.replace(cfg, solver=scfg))
-    assert row.status.startswith(f"error: {name} {value:.8g} must")
+    row = run_single(system, plant, dataclasses.replace(cfg, k0=scfg.k0, solver=scfg))
+    assert row.status.startswith(f"error: {name} {shown} must")
 
 
 def test_program_rejects_a_negative_mu():
@@ -224,6 +227,18 @@ def _reference_constraint_eval(prog, x):
 def _phi(z, p):
     """Shifted log penalty, elementwise; domain z < p."""
     return -p * np.log1p(-z / p)
+
+
+def _objective(prog, x):
+    """f = mu*||k|| - lambda and its gradient (mu*k/||k||, -1)."""
+    k, lam = x[:-1], x[-1]
+    nk = float(np.linalg.norm(k))
+    f = prog.mu * nk - lam
+    g = np.zeros(x.size)
+    if nk > 0:
+        g[:-1] = prog.mu * k / nk
+    g[-1] = -1.0
+    return f, g
 
 
 def _reference_augmented_objective(prog, x, U, p, k_bound, u_box):
@@ -430,7 +445,8 @@ def test_history_records_each_outer_iteration_and_leaves_the_config_alone(progra
     assert cfg == before
     assert len(first.history) == first.outer_iters >= 2
     assert all(len(record) == 3 for record in first.history)
-    assert first.history[-1][0] == first.lam
+    # the report reads the last outer record
+    assert first.history[-1] == (first.lam, first.min_eig, first.objective)
     for field in dataclasses.fields(first):
         a, b = getattr(first, field.name), getattr(second, field.name)
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
@@ -526,6 +542,31 @@ def test_solve_never_repeats_an_evaluation_within_an_outer_iteration(monkeypatch
     assert len(iterations) == report.outer_iters >= 2
     for _, xs in iterations:
         assert len(set(xs)) == len(xs)
+
+
+def test_a_solve_evaluates_the_partials_of_h_only_inside_the_objective(monkeypatch):
+    # the outer records and the report read H(k) alone; constraint_eval and
+    # eval_stack, which also build every dH/dk_l, serve augmented_objective
+    prog, cfg = _suite_program("NN1", "power")
+    expected = pickle.dumps(solve_sof(prog, cfg))
+    depth = []
+    evaluate, stack = solver.augmented_objective, SofProgram.eval_stack
+
+    def objective(*args, **kwargs):
+        depth.append(None)
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    def eval_stack(self, k):
+        assert depth, "eval_stack was called outside augmented_objective"
+        return stack(self, k)
+
+    _refuse_evaluation(monkeypatch, "constraint_eval")
+    monkeypatch.setattr(solver, "augmented_objective", objective)
+    monkeypatch.setattr(SofProgram, "eval_stack", eval_stack)
+    assert pickle.dumps(solve_sof(prog, cfg)) == expected
 
 
 def test_max_inner_caps_each_outer_iteration():

@@ -139,7 +139,7 @@ def test_nodes_from_target_stable_targets_give_real_nodes(rng):
         deg = int(rng.integers(2, 9))
         target = random_stable_poly(rng, deg)
         nodes = nodes_from_target(target, part="im" if deg % 2 else "re")
-        assert nodes.all_real
+        assert all(kind == "real" for kind in nodes.kinds)
 
 
 def test_nodes_from_target_degree_deficiency():
