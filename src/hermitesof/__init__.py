@@ -24,7 +24,6 @@ from .errors import (
 from .hermite import (
     HermiteForm,
     NodeSet,
-    ScalingDiag,
     cond_frobenius,
     hermite_lagrange,
     hermite_power,

@@ -28,7 +28,6 @@ class PolyFixture:
 
     name: str
     q: CharPoly
-    provenance: str
     m: int = 1  # gain matrix shape when symbolic
 
     @property
@@ -83,7 +82,6 @@ def _nn6_poly() -> PolyFixture:
     return PolyFixture(
         name="NN6",
         q=_printed(coeffs),
-        provenance="closed-loop characteristic polynomial, printed to 8 digits",
         m=1,
     )
 
@@ -100,7 +98,6 @@ def _ac4_poly() -> PolyFixture:
     return PolyFixture(
         name="AC4",
         q=_printed(coeffs),
-        provenance="closed-loop characteristic polynomial, printed to 8 digits",
         m=1,
     )
 
@@ -109,7 +106,6 @@ def _ac4_openloop() -> PolyFixture:
     return PolyFixture(
         name="AC4_openloop",
         q=_printed([-66.837750, -1330.6306, 130.03210, 150.92600, 1.0]),
-        provenance="open-loop characteristic polynomial, printed to 8 digits",
     )
 
 
@@ -120,7 +116,6 @@ def _nn5_openloop() -> PolyFixture:
             [6.3000000, -448.72180, 1.2196400, 2249.4849, 458.42510,
              96.515330, 10.171000, 1.0]
         ),
-        provenance="open-loop characteristic polynomial, printed to 8 digits",
     )
 
 
@@ -175,8 +170,6 @@ def registry() -> dict:
             "NN5_openloop": _nn5_openloop(),
         },
         "targets": _targets(),
-        "gains": {"NN6_achievable": NN6_ACHIEVABLE_GAIN},
-        "nodes": {"NN6_achievable": NN6_ACHIEVABLE_NODES},
     }
 
 
@@ -195,12 +188,12 @@ def get_plant(name: str):
 
 def find_instance_file(name: str) -> Path | None:
     p = Path(name)
-    if p.suffix == ".json" and p.exists():
+    if p.suffix == ".json" and p.is_file():
         return p
     data_dir = os.environ.get(DATA_DIR_ENV)
     if data_dir:
         cand = Path(data_dir) / f"{name}.json"
-        if cand.exists():
+        if cand.is_file():
             return cand
     return None
 
@@ -212,6 +205,8 @@ def load_instance(path) -> SystemInstance:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     for key in ("name", "A", "B", "C"):

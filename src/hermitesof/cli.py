@@ -31,12 +31,11 @@ from .benchmarks import (
 )
 from .errors import HermiteSofError, InputError
 from .hermite import (
-    apply_scaling,
     cond_frobenius,
     hermite_lagrange,
     hermite_power,
     power_scale,
-    scaling_from_numeric,
+    scaled_hermite,
 )
 from .polynomials import optimal_rho
 from .solver import SolveConfig, verify_solution
@@ -99,7 +98,7 @@ def cmd_hermite(args) -> int:
         )
     if H.scaling is not None:
         lines.append(
-            "scaling: " + ", ".join(f"{s:.8g}" for s in H.scaling.values)
+            "scaling: " + ", ".join(f"{s:.8g}" for s in H.scaling)
         )
     lines += [f"H({ij}) = {e}" for ij, e in entries.items()]
     print("\n".join(lines))
@@ -124,11 +123,10 @@ def cmd_cond(args) -> int:
     try:
         target = target_poly(c, spec) if spec is not None else c
         nodes = nodes_from_target(target)
-        hl = hermite_lagrange(c, nodes)
-        Ml = hl.eval_at()
+        Ml = hermite_lagrange(c, nodes).eval_at()
         rows.append(("lagrange", f"{cond_frobenius(Ml):.8g}"))
-        S = scaling_from_numeric(Ml, nodes)
-        Ms = apply_scaling(hl, S).eval_at()
+        # scaled by c's own Lagrange form, not the target's
+        Ms = scaled_hermite(c, c, nodes=nodes).eval_at()
         rows.append(("scaled-lagrange", f"{cond_frobenius(Ms):.8g}"))
     except HermiteSofError as exc:
         rows.append(("lagrange", f"n/a ({exc})"))

@@ -21,11 +21,11 @@ from .polynomials import CharPoly, MultiPoly, poly_degree, split_re_im
 _NODE_TOL = 1e-9
 
 
-def _node_kind(u: complex, tol: float = _NODE_TOL) -> str:
+def _node_kind(u: complex) -> str:
     scale = 1.0 + abs(u)
-    if abs(u.imag) <= tol * scale:
+    if abs(u.imag) <= _NODE_TOL * scale:
         return "real"
-    if abs(u.real) <= tol * scale:
+    if abs(u.real) <= _NODE_TOL * scale:
         return "imag"
     return "complex"
 
@@ -39,9 +39,9 @@ class NodeSet:
     kinds: tuple[str, ...]
 
     @classmethod
-    def from_values(cls, values: Sequence[complex], tol: float = _NODE_TOL) -> "NodeSet":
+    def from_values(cls, values: Sequence[complex]) -> "NodeSet":
         vals = [complex(v) for v in values]
-        kinds = [_node_kind(v, tol) for v in vals]
+        kinds = [_node_kind(v) for v in vals]
         reals = sorted(
             (v.real for v, k in zip(vals, kinds) if k == "real"),
             key=lambda x: (abs(x), x < 0),
@@ -56,7 +56,7 @@ class NodeSet:
         for v in pos:
             match = None
             for w in neg:
-                if abs(w - v.conjugate()) <= tol * (1.0 + abs(v)):
+                if abs(w - v.conjugate()) <= _NODE_TOL * (1.0 + abs(v)):
                     match = w
                     break
             if match is None:
@@ -74,13 +74,13 @@ class NodeSet:
         for i, v in enumerate(ordered):
             r = 0
             for w in ordered[:i]:
-                if abs(v - w) <= tol * (1.0 + abs(w)):
+                if abs(v - w) <= _NODE_TOL * (1.0 + abs(w)):
                     r += 1
             rep.append(r)
         return cls(
             values=tuple(ordered),
             rep_index=tuple(rep),
-            kinds=tuple(_node_kind(v, tol) for v in ordered),
+            kinds=tuple(_node_kind(v) for v in ordered),
         )
 
     def __len__(self) -> int:
@@ -101,14 +101,6 @@ class NodeSet:
 
 
 @dataclass
-class ScalingDiag:
-    """Positive diagonal scaling, with a flag for zero blocks left unscaled."""
-
-    values: np.ndarray
-    warning: bool = False
-
-
-@dataclass
 class HermiteForm:
     """Hermite matrix H(k) = sum_t k**E[t] * C[t] with basis metadata.
 
@@ -122,7 +114,7 @@ class HermiteForm:
     E: np.ndarray
     C: np.ndarray
     nodes: NodeSet | None = None
-    scaling: ScalingDiag | None = None
+    scaling: np.ndarray | None = None  # the diagonal S of a scaled form
 
     @property
     def nvars(self) -> int:
@@ -297,32 +289,18 @@ def hermite_lagrange(q, nodes: NodeSet) -> HermiteForm:
 # -- scaling ---------------------------------------------------------------
 
 
-def scaling_from_numeric(H: np.ndarray, nodes: NodeSet) -> ScalingDiag:
+def scaling_from_numeric(H: np.ndarray, nodes: NodeSet) -> np.ndarray:
     """Diagonal S with S_ii = |h_i|**-0.5 where h_i is the governing entry
     of row i's block in the node pattern (the diagonal for a real node, the
-    off-diagonal for a conjugate pair)."""
+    off-diagonal for a conjugate pair); a block whose h_i is zero keeps
+    S_ii = 1, unscaled."""
     H = np.asarray(H)
-    values = np.ones(H.shape[0])
-    warning = False
+    S = np.ones(H.shape[0])
     for start, size in nodes.blocks():
         h = H[start, start] if size == 1 else H[start, start + 1]
-        if h == 0:
-            warning = True
-            continue
-        s = abs(h) ** -0.5
-        for r in range(start, start + size):
-            values[r] = s
-    return ScalingDiag(values=values, warning=warning)
-
-
-def apply_scaling(H: HermiteForm, S: ScalingDiag) -> HermiteForm:
-    return HermiteForm(
-        basis="scaled-lagrange",
-        E=H.E,
-        C=H.C * np.outer(S.values, S.values),
-        nodes=H.nodes,
-        scaling=S,
-    )
+        if h != 0:
+            S[start : start + size] = abs(h) ** -0.5
+    return S
 
 
 def scaled_hermite(
@@ -331,23 +309,25 @@ def scaled_hermite(
     """Scaled Lagrange-basis Hermite matrix of q (a CharPoly or a real
     coefficient array): nodes and the normalizing diagonal both come from
     the target polynomial's coefficient array, the nodes from the part
-    that `nodes_from_target` picks unless given.
+    that `nodes_from_target` picks unless given.  This is the one place a
+    Lagrange form is scaled.
     """
     if nodes is None:
         from .stability import nodes_from_target
 
         nodes = nodes_from_target(target, part=part)
-    HL_target = hermite_lagrange(target, nodes)
-    S = scaling_from_numeric(HL_target.eval_at(), nodes)
+    S = scaling_from_numeric(hermite_lagrange(target, nodes).eval_at(), nodes)
     HL = hermite_lagrange(q, nodes)
-    return apply_scaling(HL, S)
+    return HermiteForm(
+        basis="scaled-lagrange", E=HL.E, C=HL.C * np.outer(S, S), nodes=nodes, scaling=S
+    )
 
 
-def power_scale(H, rho: float) -> np.ndarray:
-    """Congruence with diag(rho**(n-1), ..., rho, 1)."""
+def power_scale(H: np.ndarray, rho: float) -> np.ndarray:
+    """Congruence of the matrix H with diag(rho**(n-1), ..., rho, 1)."""
     if rho <= 0:
         raise InputError("rho must be positive")
-    M = H.eval_at() if isinstance(H, HermiteForm) else np.asarray(H, dtype=float)
+    M = np.asarray(H, dtype=float)
     n = M.shape[0]
     d = rho ** np.arange(n - 1, -1, -1, dtype=float)
     return (d[:, None] * M) * d[None, :]

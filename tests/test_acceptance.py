@@ -85,7 +85,7 @@ def test_criterion_2_conditioning():
     HL = hermite_lagrange(NN5_OL, nodes).eval_at()
     assert relerr(cond_frobenius(HL), 2.0983e7) <= 1e-3
     S = scaling_from_numeric(HL, nodes)
-    HS = S.values[:, None] * HL * S.values[None, :]
+    HS = S[:, None] * HL * S[None, :]
     assert abs(cond_frobenius(HS) - 7.0) <= 1e-6
 
 

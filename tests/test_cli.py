@@ -62,6 +62,36 @@ def test_cond_nn1_zero_form(capsys):
     assert lines["power"] == lines["lagrange"] == lines["scaled-lagrange"] == "inf"
 
 
+# cond with a target: the Lagrange rows take the target's nodes and are
+# scaled by the evaluated polynomial's own form
+COND_WITH_TARGET = {
+    "AC4_openloop-roots": (
+        ["--fixture", "AC4_openloop", "--roots", "-1,-2,-3,-4"],
+        "power                          1158.1557\n"
+        "power-scaled (rho=0.34973939)  32.100541\n"
+        "lagrange                       355.77735\n"
+        "scaled-lagrange                1182.6619\n",
+    ),
+    "NN1-target-shift": (
+        ["--fixture", "NN1", "--K", "1,2", "--target-shift", "-0.5"],
+        "power                          32.951622\n"
+        "power-scaled (rho=0.79370053)  15.511804\n"
+        "lagrange                       12.787594\n"
+        "scaled-lagrange                9.1228728\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COND_WITH_TARGET))
+def test_cond_with_a_target(case, capsys):
+    argv, text = COND_WITH_TARGET[case]
+    assert main(["cond", *argv]) == 0
+    assert capsys.readouterr().out == text
+    assert main(["cond", *argv, "--format", "json"]) == 0
+    rows = dict(re.split(r"  +", line) for line in text.splitlines())
+    assert capsys.readouterr().out == json.dumps(rows, indent=1) + "\n"
+
+
 # gains of each embedded fixture
 FIXTURE_GAINS = {"NN1": 2, "NN6": 4, "AC4": 2, "AC4_openloop": 0, "NN5_openloop": 0}
 
@@ -235,6 +265,19 @@ def test_bad_outside_input_exits_2(argv, says, capsys, tmp_path):
     out = capsys.readouterr()
     assert rc == 2
     assert says in out.out + out.err
+
+
+@pytest.mark.parametrize("make, says", [
+    (lambda path: path.write_bytes(b"\xff\xfe{}"), "cannot read: 'utf-8' codec"),
+    (lambda path: path.mkdir(), "unknown fixture or instance"),
+], ids=["non-utf8-file", "directory"])
+def test_an_unreadable_instance_path_exits_2(make, says, capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    make(path)
+    rc = main(["verify", "--fixture", str(path), "--K", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and str(path) in err and says in err
 
 
 def _strict_json(text):

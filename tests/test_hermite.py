@@ -324,7 +324,7 @@ def test_scaling_from_numeric_nn5():
     nodes = nodes_from_target(NN5_OL, part="im")
     HL = hermite_lagrange(NN5_OL, nodes).eval_at()
     S = scaling_from_numeric(HL, nodes)
-    HS = S.values[:, None] * HL * S.values[None, :]
+    HS = S[:, None] * HL * S[None, :]
     ref = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
     ref[5, 6] = ref[6, 5] = 1.0
     assert np.max(np.abs(HS - ref)) <= 1e-9
@@ -333,15 +333,14 @@ def test_scaling_from_numeric_nn5():
 
 def test_scaling_from_numeric_trivial_cases():
     S = scaling_from_numeric(np.eye(3), NodeSet.from_values([0.0, 1.0, 2.0]))
-    assert np.allclose(S.values, 1.0) and not S.warning
+    assert np.allclose(S, 1.0)
     S = scaling_from_numeric(np.diag([4.0, 9.0]), NodeSet.from_values([0.0, 1.0]))
-    assert np.allclose(S.values, [0.5, 1.0 / 3.0])
+    assert np.allclose(S, [0.5, 1.0 / 3.0])
 
 
-def test_scaling_from_numeric_zero_block_warns():
+def test_scaling_from_numeric_leaves_a_zero_block_unscaled():
     S = scaling_from_numeric(np.zeros((2, 2)), NodeSet.from_values([0.0, 1.0]))
-    assert S.warning
-    assert np.allclose(S.values, 1.0)
+    assert np.allclose(S, 1.0)
 
 
 NN1_HS11 = {
@@ -430,7 +429,7 @@ def test_build_then_evaluate_matches_evaluate_then_build(rng):
     for q, target, part in cases:
         nodes = nodes_from_target(target, part=part)
         HS = scaled_hermite(q, target, nodes=nodes)
-        S = HS.scaling.values
+        S = HS.scaling
         for _ in range(10):
             k = rng.standard_normal(q.nvars)
             ref = S[:, None] * hermite_lagrange(q.at_gains(k), nodes).eval_at() * S[None, :]
