@@ -108,9 +108,16 @@ def cmd_hermite(args) -> int:
 def cmd_cond(args) -> int:
     plant = get_plant(args.fixture)
     q, _, _ = _sym_poly(plant)
-    c = q.at_gains(_parse_list(args.K, float, "numeric") if args.K else np.zeros(q.nvars))
+    gains = _parse_list(args.K, float, "numeric") if args.K else np.zeros(q.nvars)
+    # huge gains overflow q(K) or H(K): an input error, not a row of nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = q.at_gains(gains)
+        Mp = hermite_power(c).eval_at()
+    if not (np.isfinite(c).all() and np.isfinite(Mp).all()):
+        raise InputError(
+            f"gains K = {args.K or 0} give a non-finite coefficient of q or entry of H"
+        )
     rows: list[tuple[str, str]] = []
-    Mp = hermite_power(c).eval_at()
     rows.append(("power", f"{cond_frobenius(Mp):.8g}"))
     try:
         rho = optimal_rho(c)

@@ -9,22 +9,23 @@ normalization (dL/dlambda = -1 + tr U), and a solve whose tr U passes
 U_DIVERGED after an outer update and convergence test ends as diverged.
 
 One evaluation of the augmented objective is one pass, in this order: the
-gain-box test, H(k) with every dH/dk_l (SofProgram.eval_stack), eigh, the
-barrier-domain test, the value, the gradient.  Its results are bit-for-bit
-those of composing constraint_eval, the objective and phi (as
--p*log1p(-t/p)).  Each outer iteration records (lambda, min eig of
-G = H(k) - lambda*I, f) from H(k) alone (SofProgram.h_eval), and the
-report reads the last record.
+gain-box test, H(k) (SofProgram.h_row), eigh, the barrier-domain test,
+every dH/dk_l (SofProgram.partial_rows), the value, the gradient; a point
+outside the domain costs no partial.  Its results are bit-for-bit those of
+composing constraint_eval, the objective and phi (as -p*log1p(-t/p)).  Each
+outer iteration records (lambda, min eig of G = H(k) - lambda*I, f) from
+H(k) alone (SofProgram.h_eval), and the report reads the last record.
 
 Trial points outside the barrier domain are rejected.  The 40
 finite-difference probes of one coordinate and the backtracking steps of
 one line search are each a fixed sequence, and one walker, _in_domain,
-evaluates each in order.  After a sequence's first rejected point, a
-domain screen proves the later points of the sequence outside the domain
-in one batch from a Rayleigh-quotient bound, and they are skipped without
-an evaluation.  The first accepted point, and so every iterate, is the
-same as without the screen.  A skipped line-search step still counts as a
-trial.
+evaluates each in order.  Before any point of an inner iteration's probes
+or of its line search is evaluated, a domain screen proves points outside
+the domain in one batch from a Rayleigh-quotient bound, and the walker
+skips them without an evaluation.  The screen flags only points the
+objective rejects, so the first accepted point of every sequence, and so
+every iterate, is the same as without it.  A skipped line-search step
+still counts as a trial.
 """
 
 from __future__ import annotations
@@ -86,12 +87,26 @@ class SofProgram:
         return self.H.eval_at(k)
 
     def eval_stack(self, k) -> np.ndarray:
-        """H(k) and every dH/dk_l flattened, then -I: (mp+2, n*n)."""
+        """H(k) and every dH/dk_l flattened, then -I: (mp+2, n*n).  It is
+        h_row, then partial_rows, on one stack."""
+        S, v = self.h_row(k)
+        self.partial_rows(v, S)
+        return S
+
+    def h_row(self, k) -> tuple[np.ndarray, np.ndarray]:
+        """A fresh stack with H(k) flattened in its first row and -I in its
+        last, and the monomial values v that partial_rows reads."""
         v = (np.asarray(k, dtype=float) ** self._E).prod(axis=1)
-        out = self._stack.copy()
-        for row, (idx, C2) in zip(out, self._terms):
+        S = self._stack.copy()
+        idx, C2 = self._terms[0]
+        np.dot(v[idx], C2, out=S[0])
+        return S, v
+
+    def partial_rows(self, v, S) -> None:
+        """Every dH/dk_l flattened into row 1 + l of the stack S, from the
+        monomial values v of h_row."""
+        for row, (idx, C2) in zip(S[1:], self._terms[1:]):
             np.dot(v[idx], C2, out=row)
-        return out
 
 
 # the convergence, line-search and penalty constants of the method
@@ -180,9 +195,10 @@ def augmented_objective(
     through the same penalty with multipliers u_box[(lo, hi) x mp]; a point
     outside the box is rejected before H(k) is evaluated.
 
-    One pass: box test, H(k) and its partials (SofProgram.eval_stack),
-    eigh, barrier-domain test, value, gradient.  Every value, gradient and
-    domain decision is bit-for-bit that of composing constraint_eval, the
+    One pass: box test, H(k) (SofProgram.h_row), eigh, barrier-domain
+    test, the partials of H (SofProgram.partial_rows), value, gradient; a
+    rejected point costs no partial.  Every value, gradient and domain
+    decision is bit-for-bit that of composing constraint_eval, the
     objective mu*||k|| - lambda with its gradient (mu*k/||k||, -1) and phi
     evaluated as -p*log1p(-t/p), without their calls."""
     x = np.ascontiguousarray(x, dtype=float)
@@ -197,10 +213,12 @@ def augmented_objective(
         z = _BOX_SIGNS * k - k_bound
         if z.max() >= limit:
             raise BarrierDomainError("iterate left the gain box domain")
-    S = prog.eval_stack(k).reshape(mp + 2, n, n)
-    w, Q = np.linalg.eigh(-(S[0] - lam * prog._eye))
+    S, v = prog.h_row(k)
+    w, Q = np.linalg.eigh(-(S[0].reshape(n, n) - lam * prog._eye))
     if w.max() >= limit:
         raise BarrierDomainError("iterate left the barrier domain")
+    prog.partial_rows(v, S)
+    S = S.reshape(mp + 2, n, n)
     wp = w / -p  # is -w / p exactly
     phi = -p * np.log1p(wp)
 
@@ -258,9 +276,9 @@ class _DomainScreen:
     test.
 
     One screen serves a solve; `at` points it at the base point of an inner
-    iteration, and the bound is built on the first call after that.
-    _in_domain asks it once per trial sequence, about the points after the
-    sequence's first rejected one."""
+    iteration and builds the bound there.  _fd_hessian and _armijo each ask
+    it once per inner iteration, about all of their trial points, before
+    they evaluate any."""
 
     # The allowance is SCREEN_ROUNDING * (n + T) * eps * (|lambda| +
     # sum_t |v_t| ||C_t||_1), a bound on ||Z(y)||_2.  It covers the error of
@@ -275,69 +293,70 @@ class _DomainScreen:
         self.k_bound = k_bound if prog.mp > 0 else None
         self._h_eval, self._C = prog.h_eval, C
         # v = prod_l P[l, E[t, l]] over a table P of each gain's powers,
-        # gathered through flat indices into it
+        # gathered through flat indices into it, one row of them per gain
         self._deg = int(E.max(initial=0)) + 1
-        self._cols = E + self._deg * np.arange(prog.mp)
+        self._cols = (E + self._deg * np.arange(prog.mp)).T
         self._tau = self.SCREEN_ROUNDING * (n + T) * np.finfo(float).eps
         self._slack = self._tau * np.abs(C).sum(axis=1).max(axis=1)
 
     def at(self, x, p: float) -> _DomainScreen:
-        self._x, self._limit, self._D = x, p * (1.0 - 1e-12), None
+        self._limit = p * (1.0 - 1e-12)
+        _, Q = np.linalg.eigh(self._h_eval(x[:-1]))
+        self._D = np.einsum("ia,tia->ta", Q, self._C @ Q)
         return self
 
-    def _monomials(self, K) -> np.ndarray:
-        P = np.empty(K.shape + (self._deg,))
-        P[:, :, 0] = 1.0
+    def _monomials(self, Kt) -> np.ndarray:
+        """v[r, t] for the gains in column r of Kt (mp x rows)."""
+        P = np.empty((len(Kt), self._deg, Kt.shape[1]))
+        P[:, 0] = 1.0
         for e in range(1, self._deg):
-            np.multiply(P[:, :, e - 1], K, out=P[:, :, e])
-        return P.reshape(len(K), -1)[:, self._cols].prod(axis=2)
+            np.multiply(P[:, e - 1], Kt, out=P[:, e])
+        return P.reshape(-1, Kt.shape[1])[self._cols].prod(axis=0).T
 
     def __call__(self, Y) -> np.ndarray:
         """One flag per row of Y: True where augmented_objective would raise
         BarrierDomainError."""
-        if self._D is None:
-            _, Q = np.linalg.eigh(self._h_eval(self._x[:-1]))
-            self._D = np.einsum("ia,tia->ta", Q, self._C @ Q)
-        K, lam = Y[:, :-1], Y[:, -1]
-        v = self._monomials(K)
-        bound = lam - (v @ self._D).min(axis=1)
+        # numpy reduces a short last axis several times slower than a first
+        # one, so the gains, products and minima are reduced transposed; the
+        # values, and the layout of v that the products with it see, are
+        # those of the row-major reductions
+        Kt, lam = np.ascontiguousarray(Y[:, :-1].T), Y[:, -1]
+        v = self._monomials(Kt)
+        bound = lam - np.ascontiguousarray((v @ self._D).T).min(axis=0)
         over = bound - self._tau * np.abs(lam) - np.abs(v) @ self._slack
         if self.k_bound is not None:
             # augmented_objective's box test: max(-k_bound - k_i, k_i -
             # k_bound) is |k_i| - k_bound, rounded the same way
-            over = np.maximum(over, np.abs(K).max(axis=1) - self.k_bound)
+            over = np.maximum(over, np.abs(Kt).max(axis=0) - self.k_bound)
         return over >= self._limit
 
 
-def _in_domain(fun_grad, Y, screen=None):
-    """Evaluate the rows of Y in order and yield (j, f, g) for each row inside
-    the barrier domain.  After the first row outside it, `screen` (see
-    _DomainScreen) is asked about all later rows in one batch, and the rows
-    it flags are skipped unevaluated."""
-    skip = [False] * len(Y)
+def _in_domain(fun_grad, Y, skip=None):
+    """Evaluate the rows of Y that `skip` does not flag, in order, and yield
+    (j, f, g) for each row inside the barrier domain."""
     for j, y in enumerate(Y):
-        if skip[j]:
+        if skip is not None and skip[j]:
             continue
         try:
             f, g = fun_grad(y)
         except BarrierDomainError:
-            if screen is not None and j + 1 < len(Y):
-                skip[j + 1 :] = screen(Y[j + 1 :]).tolist()
-                screen = None
             continue
         yield j, f, g
 
 
 def _armijo(fun_grad, x, f, d, slope, screen=None):
     """Backtracking line search along d from x, where f = fun_grad(x)[0]
-    and slope is the directional derivative; points outside the barrier
-    domain, evaluated or skipped by `screen` (see _in_domain), count as
-    trials and are backtracked from.
+    and slope is the directional derivative.  `screen` (see _DomainScreen)
+    is asked about all MAX_LINESEARCH steps before the first is evaluated,
+    and the steps it flags are skipped; a step outside the barrier domain,
+    evaluated or skipped, counts as a trial and is backtracked from.
 
     Returns (step, f, g, trials) at the accepted point, with f and g None
     when no step passes the Armijo test within MAX_LINESEARCH trials.
     """
-    for j, f_try, g_try in _in_domain(fun_grad, x + _STEPS[:, None] * d, screen):
+    Y = x + _STEPS[:, None] * d
+    skip = None if screen is None else screen(Y)
+    for j, f_try, g_try in _in_domain(fun_grad, Y, skip):
         if f_try <= f + ARMIJO_C * _STEPS[j] * slope:
             return float(_STEPS[j]), f_try, g_try, j + 1
     return None, None, None, MAX_LINESEARCH
@@ -348,17 +367,21 @@ def _fd_hessian(fun_grad, x, g, screen=None):
 
     Each coordinate's probes x + h0*_FD_LEVELS*e_i (+h, then -h, with h
     shrinking by 1/8 over 20 levels into the feasible strip) are one trial
-    sequence, walked by _in_domain with `screen`; the first probe inside
-    the barrier domain gives the column, and none leaves it zero."""
+    sequence.  `screen` is asked once about the probes of every coordinate
+    before any is evaluated; _in_domain walks each coordinate's unflagged
+    probes in order, the first inside the barrier domain gives the column,
+    and none leaves it zero."""
     n = x.size
     H = np.zeros((n, n))
-    h0 = 1e-6 * (1.0 + np.abs(x))
+    h = (1e-6 * (1.0 + np.abs(x)))[:, None] * _FD_LEVELS
+    Y = np.empty((n, len(_FD_LEVELS), n))
+    Y[:] = x
+    diag = np.arange(n)
+    Y[diag, :, diag] += h
+    skip = None if screen is None else screen(Y.reshape(-1, n)).reshape(n, -1)
     for i in range(n):
-        h = h0[i] * _FD_LEVELS
-        Y = np.tile(x, (len(h), 1))
-        Y[:, i] += h
-        for j, _, gp in _in_domain(fun_grad, Y, screen):
-            H[:, i] = (gp - g) / h[j]
+        for j, _, gp in _in_domain(fun_grad, Y[i], None if skip is None else skip[i]):
+            H[:, i] = (gp - g) / h[i, j]
             break
     return 0.5 * (H + H.T)
 

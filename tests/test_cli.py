@@ -250,12 +250,16 @@ NON_FINITE_PLANTS = {
     (["hermite", "--fixture", "NN1", "--basis", "lagrange", "--target-shift", "nan"],
      "shift nan must be finite"),
     (["cond", "--fixture", "AC4_openloop", "--K", "1,2"], "gain vector length 2"),
+    # q(K) finite and H(K) overflowing, then q(K) overflowing
+    (["cond", "--fixture", "NN1", "--K", "1e300,1e300"], "gains K = 1e300,1e300 give"),
+    (["cond", "--fixture", "AC4", "--K", "1e300,1e300"], "gains K = 1e300,1e300 give"),
+    (["cond", "--fixture", "AC4", "--K", "1.7e308,1.7e308"], "gains K = 1.7e308,1.7e308"),
     (["solve", "--fixture", "{number}"], "expected a JSON object, got int"),
     (["hermite", "--fixture", "{null}", "--basis", "power"],
      "expected a JSON object, got NoneType"),
 ], ids=["nan-instance", "inf-instance", "nan-gain", "inf-gain", "nan-root", "zero-P0",
-        "negative-P0", "nan-shift", "gains-without-variables", "number-instance",
-        "null-instance"])
+        "negative-P0", "nan-shift", "gains-without-variables", "overflowing-H",
+        "overflowing-H-AC4", "overflowing-q", "number-instance", "null-instance"])
 def test_bad_outside_input_exits_2(argv, says, capsys, tmp_path):
     paths = {}
     for name, text in NON_FINITE_PLANTS.items():

@@ -545,28 +545,40 @@ def test_solve_never_repeats_an_evaluation_within_an_outer_iteration(monkeypatch
 
 
 def test_a_solve_evaluates_the_partials_of_h_only_inside_the_objective(monkeypatch):
-    # the outer records and the report read H(k) alone; constraint_eval and
-    # eval_stack, which also build every dH/dk_l, serve augmented_objective
+    # the outer records and the report read H(k) alone; constraint_eval,
+    # eval_stack and partial_rows, which build every dH/dk_l, serve
+    # augmented_objective, and it builds them only at a point inside the
+    # domain: once per evaluation that returns
     prog, cfg = _suite_program("NN1", "power")
     expected = pickle.dumps(solve_sof(prog, cfg))
-    depth = []
+    depth, returned, builds = [], [], []
     evaluate, stack = solver.augmented_objective, SofProgram.eval_stack
+    partials = SofProgram.partial_rows
 
     def objective(*args, **kwargs):
         depth.append(None)
         try:
-            return evaluate(*args, **kwargs)
+            out = evaluate(*args, **kwargs)
         finally:
             depth.pop()
+        returned.append(None)
+        return out
 
     def eval_stack(self, k):
         assert depth, "eval_stack was called outside augmented_objective"
         return stack(self, k)
 
+    def partial_rows(self, v, S):
+        assert depth, "partial_rows was called outside augmented_objective"
+        builds.append(None)
+        return partials(self, v, S)
+
     _refuse_evaluation(monkeypatch, "constraint_eval")
     monkeypatch.setattr(solver, "augmented_objective", objective)
     monkeypatch.setattr(SofProgram, "eval_stack", eval_stack)
+    monkeypatch.setattr(SofProgram, "partial_rows", partial_rows)
     assert pickle.dumps(solve_sof(prog, cfg)) == expected
+    assert len(builds) == len(returned) > 0
 
 
 def test_max_inner_caps_each_outer_iteration():
@@ -650,9 +662,11 @@ def _rejected(prog, y, p, k_bound):
     log_p=st.floats(-9.0, 0.0),
     gain_scale=st.sampled_from([0.1, 1.0, 30.0, "box"]),
     lam_only=st.booleans(),
+    edge_log_p=st.floats(-12.0, -6.0),
+    edge_gap=st.floats(0.01, 4.0),
 )
 def test_screen_flags_only_points_augmented_objective_rejects(
-    which, seed, log_p, gain_scale, lam_only
+    which, seed, log_p, gain_scale, lam_only, edge_log_p, edge_gap
 ):
     prog, cfg = SCREENED[which]
     rng = np.random.default_rng(seed)
@@ -695,11 +709,34 @@ def test_screen_flags_only_points_augmented_objective_rejects(
     assert flags[-1]  # the screen is not trivially silent
     for y in Y[flags[:-1]]:
         assert _rejected(prog, y, p, kb)
+    # the probes _fd_hessian screens before it evaluates any, from a base
+    # point edge_gap * h0 = edge_gap * 1e-6 * (1 + |lambda|) below the edge
+    # of a domain of tiny width p
+    p = 10.0**edge_log_p
+    lam = np.linalg.eigvalsh(H).min() - 1e-12 * np.abs(H).sum()
+    x = np.append(k, lam - edge_gap * 1e-6 * (1.0 + abs(lam)))
+    assert not _rejected(prog, x, p, kb)
+    screen.at(x, p)
+    screened = []
+
+    def recorded(probes):
+        screened.append((probes.copy(), screen(probes)))
+        return screened[-1][1]
+
+    def unevaluated(y):
+        raise BarrierDomainError("outside")
+
+    solver._fd_hessian(unevaluated, x, np.zeros(x.size), recorded)
+    (probes, flags), = screened
+    assert len(probes) == 40 * x.size
+    for y in probes[flags]:
+        assert _rejected(prog, y, p, kb)
 
 
-def test_in_domain_walks_rows_in_order_and_screens_once_after_the_first_rejection():
+def test_trial_sequences_are_screened_once_before_their_first_evaluation():
+    # _in_domain walks the rows its flags leave, in order
     outside = {1.0, 2.0, 4.0, 6.0}
-    evaluated, asked = [], []
+    evaluated = []
 
     def fun_grad(y):
         evaluated.append(float(y[0]))
@@ -707,32 +744,63 @@ def test_in_domain_walks_rows_in_order_and_screens_once_after_the_first_rejectio
             raise BarrierDomainError("outside")
         return -y[0], 2.0 * y
 
-    def screen(rows):
-        asked.append((list(evaluated), rows[:, 0].tolist()))
-        return np.isin(rows[:, 0], [2.0, 6.0])  # flags only rows outside
-
     Y = np.arange(8.0)[:, None]
-    walked = [(j, f, g.tolist()) for j, f, g in solver._in_domain(fun_grad, Y, screen)]
+    skip = np.isin(Y[:, 0], [2.0, 6.0])  # flags only rows outside
+    walked = [(j, f, g.tolist()) for j, f, g in solver._in_domain(fun_grad, Y, skip)]
     assert walked == [(j, -float(j), [2.0 * j]) for j in (0, 3, 5, 7)]
-    # asked once, right after the first rejection, about the later rows only
-    assert asked == [([0.0, 1.0], [2.0, 3.0, 4.0, 5.0, 6.0, 7.0])]
     assert evaluated == [0.0, 1.0, 3.0, 4.0, 5.0, 7.0]  # flagged rows never
     # the walk stops where its consumer does
     evaluated.clear()
-    assert next(solver._in_domain(fun_grad, Y, screen))[0] == 0
+    assert next(solver._in_domain(fun_grad, Y, skip))[0] == 0
     assert evaluated == [0.0]
-    # no rejection, or only on the last row: the screen is not asked
+    evaluated.clear()
+    assert [j for j, _, _ in solver._in_domain(fun_grad, Y)] == [0, 3, 5, 7]
+    assert evaluated == Y[:, 0].tolist()  # no flags: every row
+
+    # the line search asks the screen once, before its first evaluation,
+    # about every step; steps 0, 1, 3, 4 and 8 are outside, the screen
+    # proves 1 and 4, and the Armijo test passes from step 6 on
+    step_of = {s: j for j, s in enumerate(solver._STEPS.tolist())}
+    outside, passes = {0, 1, 3, 4, 8}, 6
+    asked = []
+
+    def fun_grad(y):
+        j = step_of[float(y[0])]
+        evaluated.append(j)
+        if j in outside:
+            raise BarrierDomainError("outside")
+        return (-1.0 if j >= passes else 0.0), np.ones(1)
+
+    def screen(rows):
+        asked.append((list(evaluated), [step_of[float(y[0])] for y in rows]))
+        return np.array([step_of[float(y[0])] in (1, 4) for y in rows])
+
+    every_step = list(range(solver.MAX_LINESEARCH))
+    for screened, walk in ((True, [0, 2, 3, 5, 6]), (False, [0, 1, 2, 3, 4, 5, 6])):
+        evaluated.clear()
+        asked.clear()
+        out = solver._armijo(fun_grad, np.zeros(1), 0.0, np.ones(1), -1.0,
+                             screen if screened else None)
+        assert out[0] == solver._STEPS[passes] and out[1] == -1.0 and out[3] == passes + 1
+        assert evaluated == walk
+        assert asked == ([([], every_step)] if screened else [])
+    # no step passes: the skipped steps count as trials too
+    passes = solver.MAX_LINESEARCH
+    evaluated.clear()
     asked.clear()
-    for rows in ([[0.0], [3.0]], [[0.0], [1.0]]):
-        list(solver._in_domain(fun_grad, np.array(rows), screen))
-    assert asked == []
+    out = solver._armijo(fun_grad, np.zeros(1), 0.0, np.ones(1), -1.0, screen)
+    assert out == (None, None, None, solver.MAX_LINESEARCH)
+    assert evaluated == [j for j in every_step if j not in (1, 4)]
+    assert asked == [([], every_step)]
 
 
 def _reference_fd_hessian(fun_grad, x, g, screen=None):
     """_fd_hessian as a walk over all 40 probes of each coordinate, built up
     front (+h, -h per level, h from h0 = 1e-6*(1 + |x_i|) by products of
-    1/8): evaluated in order, and after the first rejected probe the screen
-    is asked once about the later ones."""
+    1/8): the screen is asked once about every probe, coordinate by
+    coordinate, before any is evaluated, and then each coordinate's
+    unflagged probes are evaluated in order up to the first inside the
+    domain."""
     n = x.size
     H = np.zeros((n, n))
     h = np.full((n, 20), 0.125)
@@ -743,16 +811,16 @@ def _reference_fd_hessian(fun_grad, x, g, screen=None):
     Y[:] = x
     for i in range(n):
         Y[i, :, i] += offsets[i]
-        skip, ask = [False] * 40, screen
-        for j, y in enumerate(Y[i]):
-            if skip[j]:
+    skip = np.zeros((n, 40), dtype=bool)
+    if screen is not None:
+        skip = np.asarray(screen(Y.reshape(n * 40, n))).reshape(n, 40)
+    for i in range(n):
+        for j in range(40):
+            if skip[i, j]:
                 continue
             try:
-                _, gp = fun_grad(y)
+                _, gp = fun_grad(Y[i, j])
             except BarrierDomainError:
-                if ask is not None and j + 1 < 40:
-                    skip[j + 1 :] = ask(Y[i, j + 1 :]).tolist()
-                    ask = None
                 continue
             H[:, i] = (gp - g) / offsets[i, j]
             break
@@ -762,8 +830,9 @@ def _reference_fd_hessian(fun_grad, x, g, screen=None):
 def _fd_walk(fd_hessian, x, g, probe, rejected, flagged, screened):
     """fd_hessian on a stub objective that rejects the probes (i, j) in
     `rejected`, with a stub screen that flags those in `flagged`; returns
-    the matrix bytes, the probes evaluated and the probes the screen was
-    asked about, in order."""
+    the matrix bytes, the probes evaluated and, per screen call, the count
+    of probes evaluated before it and the probes it was asked about, in
+    order."""
     A = np.arange(x.size**2, dtype=float).reshape(x.size, x.size) / 7.0
     evaluated, asked = [], []
 
@@ -775,7 +844,7 @@ def _fd_walk(fd_hessian, x, g, probe, rejected, flagged, screened):
         return 0.0, A @ y + np.sin(3.0 * y)
 
     def screen(rows):
-        asked.append([probe[y.tobytes()] for y in rows])
+        asked.append((len(evaluated), [probe[y.tobytes()] for y in rows]))
         return np.array([probe[y.tobytes()] in flagged for y in rows])
 
     H = fd_hessian(fun_grad, x, g, screen if screened else None)
@@ -789,12 +858,15 @@ def test_fd_hessian_walks_the_probes_of_the_40_probe_walk(rng):
         g = rng.standard_normal(n)
         # probe (i, j) of coordinate i, keyed by its bytes
         h0 = 1e-6 * (1.0 + np.abs(x))
-        probe = {}
+        probe, keys = {}, []
         for i in range(n):
             for j in range(40):
                 y = x.copy()
                 y[i] += (-1.0) ** j * h0[i] * 0.125 ** (j // 2)
                 probe[y.tobytes()] = (i, j)
+                keys.append(y.tobytes())
+        # a probe below an ulp of x_i is x itself: the last (i, j) names it
+        every_probe = [probe[key] for key in keys]
         # each coordinate's first probe inside the domain: the first, a
         # later one, or none; more rejections after it, and a screen that
         # flags some of the rejected probes
@@ -806,6 +878,19 @@ def test_fd_hessian_walks_the_probes_of_the_40_probe_walk(rng):
             walked = _fd_walk(solver._fd_hessian, x, g, probe, rejected, flagged, screened)
             reference = _fd_walk(_reference_fd_hessian, x, g, probe, rejected, flagged, screened)
             assert walked == reference
+            # one screen call about every probe before any evaluation; the
+            # unflagged probes of each coordinate evaluated in order up to
+            # its first inside the domain, the flagged ones never
+            skipped = flagged if screened else set()
+            walk = []
+            for i in range(n):
+                for ij in every_probe[40 * i : 40 * (i + 1)]:
+                    if ij not in skipped:
+                        walk.append(ij)
+                        if ij not in rejected:
+                            break
+            assert walked[1] == walk
+            assert walked[2] == ([(0, every_probe)] if screened else [])
 
 
 def test_line_search_steps_are_the_products_of_the_backtracking_factor():
@@ -852,14 +937,31 @@ def _solve_recording(monkeypatch, prog, cfg):
 @pytest.mark.parametrize("args", [
     ("NN1", "power"),
     ("NN1", "lagrange"),
+    ("AC4", "power"),
     ("NN6", "lagrange"),
     (1, 4, 2, 1),
     (2, 4, 2, 2),
-], ids=["NN1-power", "NN1-lagrange", "NN6-lagrange", "planted-4x2x1", "planted-4x2x2"])
+], ids=["NN1-power", "NN1-lagrange", "AC4-power", "NN6-lagrange", "planted-4x2x1",
+        "planted-4x2x2"])
 def test_screen_keeps_every_report_and_saves_evaluations(monkeypatch, args):
     make = _suite_program if isinstance(args[0], str) else _planted_program
     prog, cfg = make(*args)
+    asked = []
+
+    class Counted(solver._DomainScreen):
+        def __call__(self, Y):
+            asked.append(len(Y))
+            return super().__call__(Y)
+
+    monkeypatch.setattr(solver, "_DomainScreen", Counted)
     screened, calls = _solve_recording(monkeypatch, prog, cfg)
+    # each inner iteration asks about all of its probes, then about all of
+    # its line-search steps
+    inner = pickle.loads(screened).inner_iters
+    assert asked == [40 * (prog.mp + 1), solver.MAX_LINESEARCH] * inner
+    if args in (("NN1", "power"), ("NN1", "lagrange"), ("AC4", "power")):
+        # the rows whose rejections were mostly first probes and first steps
+        assert sum(rejected for _, rejected in calls) < 0.01 * len(calls)
     monkeypatch.setattr(solver, "_DomainScreen", _NoScreen)
     unscreened, calls_unscreened = _solve_recording(monkeypatch, prog, cfg)
     assert screened == unscreened
