@@ -333,12 +333,23 @@ def power_scale(H: np.ndarray, rho: float) -> np.ndarray:
     return (d[:, None] * M) * d[None, :]
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F; when the sum of squares of a finite M overflows, it is
+    s*||M/s||_F with s = max|M_ij|."""
+    r = np.linalg.norm(M, "fro")
+    if np.isinf(r) and np.isfinite(M).all():
+        s = np.abs(M).max()
+        r = s * np.linalg.norm(M / s, "fro")
+    return r
+
+
 def cond_frobenius(H: np.ndarray) -> float:
-    """Frobenius-norm condition number; +inf for singular matrices."""
+    """Frobenius-norm condition number; +inf for singular matrices and past
+    the float range."""
     M = np.asarray(H, dtype=float)
     try:
         Minv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
         return float("inf")
-    c = float(np.linalg.norm(M, "fro") * np.linalg.norm(Minv, "fro"))
-    return c
+    with np.errstate(over="ignore"):
+        return float(_frobenius(M) * _frobenius(Minv))

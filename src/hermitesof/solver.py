@@ -4,9 +4,13 @@ Decision vector x = (k, lambda); objective mu*||k|| - lambda subject to
 H(k) - lambda*I >= 0.  The constraint is handled through a shifted spectral
 log barrier phi(t) = -p*log(1 - t/p) with multiplier and penalty updates in
 an outer loop and, inside, damped Newton steps on a finite-differenced
-Hessian with Armijo backtracking.  By default U starts at tr U = 1, the KKT
-normalization (dL/dlambda = -1 + tr U), and a solve whose tr U passes
-U_DIVERGED after an outer update and convergence test ends as diverged.
+Hessian with Armijo backtracking.  An inner solve stops when ||grad|| <=
+tol_inner*(1 + |f|), after max_inner steps, or after a step that leaves x,
+f and the gradient unchanged bit for bit: U and p are fixed inside it, so
+every later step would repeat that one.  By default U starts at tr U = 1,
+the KKT normalization (dL/dlambda = -1 + tr U), and a solve whose tr U
+passes U_DIVERGED after an outer update and convergence test ends as
+diverged.
 
 One evaluation of the augmented objective is one pass, in this order: the
 gain-box test, H(k) (SofProgram.h_row), eigh, the barrier-domain test,
@@ -389,7 +393,11 @@ def _fd_hessian(fun_grad, x, g, screen=None):
 def _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at=None):
     """Damped Newton minimization from x0 with f, g = fun_grad(x0) given; the
     Hessian is finite-differenced from the analytic gradient and modified
-    to be positive definite.  Stops when ||g|| <= tol*(1 + |f|).  With
+    to be positive definite.  Stops when ||g|| <= tol*(1 + |f|), after
+    max_iter iterations, or after an accepted step that leaves (x, f, g)
+    bit for bit as they were (a step that rounds away): fun_grad and
+    screen_at do not change within the call, so every later iteration
+    would repeat that one, and the cap would return the same point.  With
     `screen_at`, each iteration's finite differences and line search skip
     the trial points that screen_at(x) flags outside the barrier domain.
 
@@ -416,8 +424,11 @@ def _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at=None):
         if f_new is None:
             failed = True
             break
-        x = x + step * d
-        f, g = f_new, g_new
+        x_new = x + step * d
+        # bytes, so that -0.0 becoming 0.0 counts as a move
+        if (x_new.tobytes(), f_new, g_new.tobytes()) == (x.tobytes(), f, g.tobytes()):
+            break
+        x, f, g = x_new, f_new, g_new
     return x, f, g, iters, trials, failed
 
 

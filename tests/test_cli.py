@@ -92,6 +92,22 @@ def test_cond_with_a_target(case, capsys):
     assert capsys.readouterr().out == json.dumps(rows, indent=1) + "\n"
 
 
+@pytest.mark.parametrize("fixture, power, scaled", [
+    ("NN1", "5.6568542e+80", "2.1544347e+53"),
+    ("AC4", "5.0203749e+166", "2.7050889e+83"),
+], ids=["NN1", "AC4"])
+def test_cond_of_huge_finite_gains_is_finite(fixture, power, scaled, capsys):
+    # q(K) and H(K) are finite at 1e80, but the sums of squares of the
+    # Frobenius norms overflow; the rows continue those at 1e20 and 1e50
+    assert main(["cond", "--fixture", fixture, "--K", "1e80,1e80"]) == 0
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    rows = dict(re.split(r"  +", line) for line in out.out.splitlines())
+    assert rows["power"] == power
+    (name,) = [name for name in rows if name.startswith("power-scaled")]
+    assert rows[name] == scaled
+
+
 # gains of each embedded fixture
 FIXTURE_GAINS = {"NN1": 2, "NN6": 4, "AC4": 2, "AC4_openloop": 0, "NN5_openloop": 0}
 

@@ -588,13 +588,54 @@ def test_max_inner_caps_each_outer_iteration():
     assert report.inner_iters <= cfg.max_inner * report.outer_iters
 
 
-def test_inner_loop_stops_on_its_tolerance_before_the_cap():
+def test_inner_loop_stops_on_its_tolerance_before_the_cap(monkeypatch):
     (name, plant, cfg), = [
         row for row in table1_suite() if row[0] == "NN1" and row[2].basis == "lagrange"
     ]
+    met = []
+
+    def inner(fun_grad, x0, f, g, tol, max_iter, screen_at=None):
+        out = _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at)
+        _, f, g, *_ = out
+        met.append(np.linalg.norm(g) <= tol * (1.0 + abs(f)))
+        return out
+
+    monkeypatch.setattr(solver, "_newton_inner", inner)
     row = run_single(name, plant, dataclasses.replace(cfg, solver=SolveConfig(max_inner=100)))
     assert row.status == "converged"
     assert row.inner < 100 * row.outer
+    # an inner solve that stops on an unchanged point also ends below the
+    # cap: at least one has to meet the tolerance itself
+    assert len(met) == row.outer and any(met)
+
+
+def _reference_newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at=None):
+    """_newton_inner without its stop on an unchanged point: it runs on
+    until the tolerance, a failed line search or the cap."""
+    x = np.asarray(x0, dtype=float)
+    iters = trials = 0
+    failed = False
+    for _ in range(max_iter):
+        if np.linalg.norm(g) <= tol * (1.0 + abs(f)):
+            break
+        screen = screen_at(x) if screen_at is not None else None
+        H = solver._fd_hessian(fun_grad, x, g, screen)
+        w, Q = np.linalg.eigh(H)
+        wmod = np.maximum(np.abs(w), 1e-8 * max(1.0, float(np.abs(w).max())))
+        d = -(Q @ ((Q.T @ g) / wmod))
+        slope = float(g @ d)
+        if slope >= 0:
+            d = -g
+            slope = float(g @ d)
+        step, f_new, g_new, tries = solver._armijo(fun_grad, x, f, d, slope, screen)
+        trials += tries
+        iters += 1
+        if f_new is None:
+            failed = True
+            break
+        x = x + step * d
+        f, g = f_new, g_new
+    return x, f, g, iters, trials, failed
 
 
 # -- domain screen -------------------------------------------------------------
@@ -959,18 +1000,63 @@ def test_screen_keeps_every_report_and_saves_evaluations(monkeypatch, args):
     # its line-search steps
     inner = pickle.loads(screened).inner_iters
     assert asked == [40 * (prog.mp + 1), solver.MAX_LINESEARCH] * inner
-    if args in (("NN1", "power"), ("NN1", "lagrange"), ("AC4", "power")):
-        # the rows whose rejections were mostly first probes and first steps
-        assert sum(rejected for _, rejected in calls) < 0.01 * len(calls)
     monkeypatch.setattr(solver, "_DomainScreen", _NoScreen)
     unscreened, calls_unscreened = _solve_recording(monkeypatch, prog, cfg)
     assert screened == unscreened
     assert len(calls) < len(calls_unscreened)
+    if args in (("NN1", "power"), ("NN1", "lagrange"), ("AC4", "power")):
+        # the rows whose rejections were mostly first probes and first
+        # steps: the screen skips at least 95 % of them
+        left = sum(rejected for _, rejected in calls)
+        assert left <= 0.05 * sum(rejected for _, rejected in calls_unscreened)
     # the screen only skips points the unscreened solve evaluates and rejects
     rejected = dict(calls_unscreened)
     points = {key for key, _ in calls}
     assert points <= rejected.keys()
     assert all(rejected[key] for key in rejected.keys() - points)
+
+
+# -- inner stop on an unchanged point --------------------------------------------
+
+
+@pytest.mark.parametrize("args", [
+    ("NN1", "power"),
+    ("NN1", "lagrange"),
+    (1, 4, 2, 1),
+    (2, 4, 2, 2),
+], ids=["NN1-power", "NN1-lagrange", "planted-4x2x1", "planted-4x2x2"])
+def test_an_inner_solve_stops_only_where_every_later_iteration_repeats(monkeypatch, args):
+    make = _suite_program if isinstance(args[0], str) else _planted_program
+    prog, cfg = make(*args)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_newton_inner", _reference_newton_inner)
+        reference = solve_sof(prog, cfg)
+    repeats = []
+
+    def inner(fun_grad, x0, f, g, tol, max_iter, screen_at=None):
+        out = _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at)
+        x, f, g, iters, _, failed = out
+        if not failed and iters < max_iter and np.linalg.norm(g) > tol * (1.0 + abs(f)):
+            # stopped on an unchanged point: one more iteration of the
+            # reference, under the same U and p, lands on it again
+            x1, f1, g1, *_ = _reference_newton_inner(fun_grad, x, f, g, tol, 1, screen_at)
+            repeats.append((x1.tobytes(), f1, g1.tobytes()) == (x.tobytes(), f, g.tobytes()))
+        return out
+
+    monkeypatch.setattr(solver, "_newton_inner", inner)
+    report = solve_sof(prog, cfg)
+    counts = ("inner_iters", "linesearch_steps")
+    for name in (f.name for f in dataclasses.fields(report)):
+        ours, theirs = getattr(report, name), getattr(reference, name)
+        if name in counts:
+            assert ours <= theirs
+        else:
+            assert pickle.dumps(ours) == pickle.dumps(theirs), name
+    assert all(repeats)
+    # the counts fall exactly when some inner solve stopped this way
+    assert bool(repeats) == (report.inner_iters < reference.inner_iters)
+    if args == ("NN1", "power"):
+        assert repeats
 
 
 # -- divergence exit -----------------------------------------------------------
