@@ -47,7 +47,6 @@ from .solver import (
     SolveConfig,
     SolveReport,
     augmented_objective,
-    constraint_eval,
     solve_sof,
     verify_solution,
 )

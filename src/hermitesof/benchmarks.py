@@ -298,14 +298,16 @@ def hermite_form(
 
 def run_single(name: str, plant, cfg: ExperimentConfig) -> ExperimentRow:
     q, m, p = _sym_poly(plant)
-    k0 = np.zeros(m * p) if cfg.k0 is None else np.asarray(cfg.k0, dtype=float)
+    base = cfg.solver or SolveConfig()
+    k0 = base.k0 if cfg.k0 is None else cfg.k0
+    k0 = np.zeros(m * p) if k0 is None else np.asarray(k0, dtype=float)
+    lam0 = base.lam0 if cfg.lam0 is None else cfg.lam0
     # a k0 of the wrong length is reported in the error row as given
     k0_text = _fmt_vec(k0.reshape((m, p), order="F") if k0.size == m * p else k0)
     try:
         H = hermite_form(q, cfg.basis, cfg.target, cfg.part)
         prog = SofProgram(H, mu=cfg.mu, m=m, p=p)
-        scfg = dataclasses.replace(cfg.solver or SolveConfig(), k0=k0, lam0=cfg.lam0)
-        report = solve_sof(prog, scfg)
+        report = solve_sof(prog, dataclasses.replace(base, k0=k0, lam0=lam0))
         _, stable, _ = verify_solution(q, report.K)
         return ExperimentRow(
             system=name,

@@ -13,12 +13,13 @@ passes U_DIVERGED after an outer update and convergence test ends as
 diverged.
 
 One evaluation of the augmented objective is one pass, in this order: the
-gain-box test, H(k) (SofProgram.h_row), eigh, the barrier-domain test,
-every dH/dk_l (SofProgram.partial_rows), the value, the gradient; a point
-outside the domain costs no partial.  Its results are bit-for-bit those of
-composing constraint_eval, the objective and phi (as -p*log1p(-t/p)).  Each
-outer iteration records (lambda, min eig of G = H(k) - lambda*I, f) from
-H(k) alone (SofProgram.h_eval), and the report reads the last record.
+gain-box test (an empty box without gains), H(k) (SofProgram.h_row), eigh,
+the barrier-domain test, every dH/dk_l (SofProgram.partial_rows), the
+value, the gradient; a point outside the domain costs no partial.  Its
+results are bit-for-bit those of composing the reference constraint_eval,
+the objective and phi (as -p*log1p(-t/p)).  Each outer iteration records
+(lambda, min eig of G = H(k) - lambda*I, f) from H(k) alone
+(SofProgram.h_eval), and the report reads the last record.
 
 Trial points outside the barrier domain are rejected.  The 40
 finite-difference probes of one coordinate and the backtracking steps of
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +62,12 @@ class SofProgram:
         self.mp = self.H.nvars
         if self.m * self.p != self.mp:
             raise InputError("m*p must equal the gain-variable count")
+        # a Hurwitz target's nodes are all real or all imaginary
+        # (Hermite-Biehler); over a mix, H(k) > 0 certifies no stability
+        nodes = self.H.nodes
+        if nodes is not None and {"real", "imag"} <= set(nodes.kinds):
+            listed = ", ".join(f"{u:.8g}" for u in nodes.values)
+            raise InputError(f"nodes {listed} mix real and imaginary values")
         E, C = self.H.E, self.H.C
         n = self.H.n
         # H, then dH/dk_l: the monomials with k_l in them, that exponent
@@ -89,13 +96,6 @@ class SofProgram:
     def h_eval(self, k) -> np.ndarray:
         """H(k) alone, by the form's own evaluator HermiteForm.eval_at."""
         return self.H.eval_at(k)
-
-    def eval_stack(self, k) -> np.ndarray:
-        """H(k) and every dH/dk_l flattened, then -I: (mp+2, n*n).  It is
-        h_row, then partial_rows, on one stack."""
-        S, v = self.h_row(k)
-        self.partial_rows(v, S)
-        return S
 
     def h_row(self, k) -> tuple[np.ndarray, np.ndarray]:
         """A fresh stack with H(k) flattened in its first row and -I in its
@@ -155,11 +155,11 @@ class SolveReport:
     inner_iters: int
     linesearch_steps: int
     status: str
-    min_eig: float = float("nan")
-    objective: float = float("nan")
-    k: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    min_eig: float
+    objective: float
+    k: np.ndarray
     # one (lam, min eig of G = H(k) - lam*I, f) triple per outer iteration
-    history: list = field(default_factory=list)
+    history: list
 
 
 def constraint_eval(prog: SofProgram, x) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +170,9 @@ def constraint_eval(prog: SofProgram, x) -> tuple[np.ndarray, np.ndarray]:
         raise InputError(f"decision vector length {x.size}, expected {prog.mp + 1}")
     k, lam = x[:-1], x[-1]
     n = prog.H.n
-    S = prog.eval_stack(k).reshape(prog.mp + 2, n, n)
+    S, v = prog.h_row(k)
+    prog.partial_rows(v, S)
+    S = S.reshape(prog.mp + 2, n, n)
     return S[0] - lam * prog._eye, S[1:]
 
 
@@ -211,11 +213,10 @@ def augmented_objective(
         raise InputError(f"decision vector length {x.size}, expected {mp + 1}")
     k, lam = x[:-1], x[-1]
     limit = p * (1.0 - 1e-12)
-    boxed = k_bound is not None and mp > 0
-    if boxed:
-        # -k_i <= k_bound, k_i <= k_bound
+    if k_bound is not None:
+        # -k_i <= k_bound, k_i <= k_bound; a program without gains has none
         z = _BOX_SIGNS * k - k_bound
-        if z.max() >= limit:
+        if z.max(initial=-np.inf) >= limit:
             raise BarrierDomainError("iterate left the gain box domain")
     S, v = prog.h_row(k)
     w, Q = np.linalg.eigh(-(S[0].reshape(n, n) - lam * prog._eye))
@@ -256,7 +257,7 @@ def augmented_objective(
     grad[:-1] += prog.mu * k / nk if nk > 0 else 0.0
     grad[-1] += -1.0
 
-    if boxed:
+    if k_bound is not None:
         if u_box is None:
             u_box = np.ones((2, mp))
         zp = z / -p
@@ -291,10 +292,10 @@ class _DomainScreen:
     # v . D, the monomial products), with room to spare.
     SCREEN_ROUNDING = 64
 
-    def __init__(self, prog: SofProgram, k_bound: float | None):
+    def __init__(self, prog: SofProgram, k_bound: float):
         E, C = prog.H.E, prog.H.C
         n, T = prog.H.n, len(C)
-        self.k_bound = k_bound if prog.mp > 0 else None
+        self.k_bound = k_bound
         self._h_eval, self._C = prog.h_eval, C
         # v = prod_l P[l, E[t, l]] over a table P of each gain's powers,
         # gathered through flat indices into it, one row of them per gain
@@ -328,18 +329,17 @@ class _DomainScreen:
         v = self._monomials(Kt)
         bound = lam - np.ascontiguousarray((v @ self._D).T).min(axis=0)
         over = bound - self._tau * np.abs(lam) - np.abs(v) @ self._slack
-        if self.k_bound is not None:
-            # augmented_objective's box test: max(-k_bound - k_i, k_i -
-            # k_bound) is |k_i| - k_bound, rounded the same way
-            over = np.maximum(over, np.abs(Kt).max(axis=0) - self.k_bound)
-        return over >= self._limit
+        # augmented_objective's box test: max(-k_bound - k_i, k_i - k_bound)
+        # is |k_i| - k_bound, rounded the same way
+        box = np.abs(Kt).max(axis=0, initial=-np.inf) - self.k_bound
+        return np.maximum(over, box) >= self._limit
 
 
-def _in_domain(fun_grad, Y, skip=None):
+def _in_domain(fun_grad, Y, skip):
     """Evaluate the rows of Y that `skip` does not flag, in order, and yield
     (j, f, g) for each row inside the barrier domain."""
     for j, y in enumerate(Y):
-        if skip is not None and skip[j]:
+        if skip[j]:
             continue
         try:
             f, g = fun_grad(y)
@@ -348,7 +348,7 @@ def _in_domain(fun_grad, Y, skip=None):
         yield j, f, g
 
 
-def _armijo(fun_grad, x, f, d, slope, screen=None):
+def _armijo(fun_grad, x, f, d, slope, screen):
     """Backtracking line search along d from x, where f = fun_grad(x)[0]
     and slope is the directional derivative.  `screen` (see _DomainScreen)
     is asked about all MAX_LINESEARCH steps before the first is evaluated,
@@ -359,14 +359,13 @@ def _armijo(fun_grad, x, f, d, slope, screen=None):
     when no step passes the Armijo test within MAX_LINESEARCH trials.
     """
     Y = x + _STEPS[:, None] * d
-    skip = None if screen is None else screen(Y)
-    for j, f_try, g_try in _in_domain(fun_grad, Y, skip):
+    for j, f_try, g_try in _in_domain(fun_grad, Y, screen(Y)):
         if f_try <= f + ARMIJO_C * _STEPS[j] * slope:
             return float(_STEPS[j]), f_try, g_try, j + 1
     return None, None, None, MAX_LINESEARCH
 
 
-def _fd_hessian(fun_grad, x, g, screen=None):
+def _fd_hessian(fun_grad, x, g, screen):
     """Symmetrized finite-difference Hessian from the analytic gradient.
 
     Each coordinate's probes x + h0*_FD_LEVELS*e_i (+h, then -h, with h
@@ -382,24 +381,24 @@ def _fd_hessian(fun_grad, x, g, screen=None):
     Y[:] = x
     diag = np.arange(n)
     Y[diag, :, diag] += h
-    skip = None if screen is None else screen(Y.reshape(-1, n)).reshape(n, -1)
+    skip = screen(Y.reshape(-1, n)).reshape(n, -1)
     for i in range(n):
-        for j, _, gp in _in_domain(fun_grad, Y[i], None if skip is None else skip[i]):
+        for j, _, gp in _in_domain(fun_grad, Y[i], skip[i]):
             H[:, i] = (gp - g) / h[i, j]
             break
     return 0.5 * (H + H.T)
 
 
-def _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at=None):
+def _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at):
     """Damped Newton minimization from x0 with f, g = fun_grad(x0) given; the
     Hessian is finite-differenced from the analytic gradient and modified
     to be positive definite.  Stops when ||g|| <= tol*(1 + |f|), after
     max_iter iterations, or after an accepted step that leaves (x, f, g)
     bit for bit as they were (a step that rounds away): fun_grad and
     screen_at do not change within the call, so every later iteration
-    would repeat that one, and the cap would return the same point.  With
-    `screen_at`, each iteration's finite differences and line search skip
-    the trial points that screen_at(x) flags outside the barrier domain.
+    would repeat that one, and the cap would return the same point.  Each
+    iteration's finite differences and line search skip the trial points
+    that screen_at(x) flags outside the barrier domain.
 
     Returns (x, f, g, iters, linesearch_trials, failed).
     """
@@ -409,7 +408,7 @@ def _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at=None):
     for _ in range(max_iter):
         if np.linalg.norm(g) <= tol * (1.0 + abs(f)):
             break
-        screen = screen_at(x) if screen_at is not None else None
+        screen = screen_at(x)
         H = _fd_hessian(fun_grad, x, g, screen)
         w, Q = np.linalg.eigh(H)
         wmod = np.maximum(np.abs(w), 1e-8 * max(1.0, float(np.abs(w).max())))
@@ -510,9 +509,8 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         W = Q @ np.diag(np.sqrt(_phi_prime(w, p))) @ Q.T
         U = W @ U @ W
         U = 0.5 * (U + U.T)
-        if mp > 0:
-            z = _BOX_SIGNS * k - cfg.k_bound
-            u_box = u_box * _phi_prime(z, p)
+        z = _BOX_SIGNS * k - cfg.k_bound
+        u_box = u_box * _phi_prime(z, p)
 
         gnorm = float(np.linalg.norm(g))
         if (
@@ -549,9 +547,8 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
 
         # shrink the penalty when the constraint violation stops improving,
         # keeping it above the current violation to preserve the domain
-        box_viol = float(z.max()) if mp > 0 else 0.0
         if viol > TOL_FEAS and viol > 0.1 * prev_viol:
-            p = max(cfg.sigma * p, 1.2 * viol, 1.2 * box_viol, P_MIN)
+            p = max(cfg.sigma * p, 1.2 * viol, 1.2 * float(z.max(initial=-np.inf)), P_MIN)
         prev_f = f
         prev_viol = viol if viol > 0 else prev_viol
 

@@ -118,6 +118,17 @@ def test_run_single_leaves_solver_config_unchanged():
     assert scfg == SolveConfig(max_outer=1, max_inner=2)
 
 
+def test_run_single_takes_k0_and_lam0_from_the_solver_config():
+    nn1 = REG["systems"]["NN1"]
+    row = run_single("NN1", nn1, ExperimentConfig(
+        "power", 1e-3, solver=SolveConfig(k0=[0.0, 30.0], lam0=1e6)))
+    assert row.k0 == "[0 30]" and row.status.startswith("error: lam0 1000000 ")
+    # the ExperimentConfig's own values win
+    row = run_single("NN1", nn1, ExperimentConfig(
+        "power", 1e-3, k0=[0.0, 0.0], lam0=2e6, solver=SolveConfig(k0=[0.0, 30.0], lam0=1e6)))
+    assert row.k0 == "[0 0]" and row.status.startswith("error: lam0 2000000 ")
+
+
 def test_run_single_error_row_prints_k0_as_a_gain_matrix():
     plant = SystemInstance(
         name="two-by-two",

@@ -6,9 +6,11 @@ import re
 import pytest
 
 from hermitesof.benchmarks import (
-    CSV_HEADER, DATA_DIR_ENV, ExperimentRow, rows_to_csv, run_experiment, table2_suite,
+    CSV_HEADER, DATA_DIR_ENV, NN6_ACHIEVABLE_GAIN, ExperimentRow, registry, rows_to_csv,
+    run_experiment, table2_suite,
 )
 from hermitesof.cli import main
+from hermitesof.stability import roots
 
 
 def _floats(text):
@@ -188,6 +190,17 @@ def test_solve_input_error_row_exits_2(flags, capsys):
     rc = main(["solve", "--fixture", "NN1", "--basis", "power"] + flags)
     assert "error:" in capsys.readouterr().out
     assert rc == 2
+
+
+def test_solve_over_real_and_imaginary_nodes_is_an_input_error(capsys):
+    # q(NN6_ACHIEVABLE_GAIN) has a root at 2.71, so its Lagrange nodes mix
+    # seven real values with +-2.7034j: the solve is refused, not run
+    target = registry()["polys"]["NN6"].q.at_gains(NN6_ACHIEVABLE_GAIN)
+    given = ",".join(str(complex(r)).strip("()") for r in roots(target))
+    rc = main(["solve", "--fixture", "NN6", "--basis", "lagrange", "--roots", given])
+    row = capsys.readouterr().out.splitlines()[1]
+    assert rc == 2
+    assert "error: nodes 0+0j, " in row and " mix real and imaginary values" in row
 
 
 @pytest.mark.parametrize("flags, says", [

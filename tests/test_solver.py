@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermitesof import solver
-from hermitesof.benchmarks import _sym_poly, hermite_form, registry, run_single, table1_suite
+from hermitesof.benchmarks import (
+    NN6_ACHIEVABLE_GAIN, _sym_poly, hermite_form, registry, run_single, table1_suite,
+)
 from hermitesof.errors import BarrierDomainError, InputError
 from hermitesof.hermite import hermite_power, scaled_hermite
 from hermitesof.polynomials import char_poly
@@ -124,6 +126,16 @@ def test_solve_rejects_a_setting_outside_its_range(monkeypatch, name, value):
         solve_sof(prog, scfg)
     row = run_single(system, plant, dataclasses.replace(cfg, k0=scfg.k0, solver=scfg))
     assert row.status.startswith(f"error: {name} {shown} must")
+
+
+def test_program_rejects_a_form_over_real_and_imaginary_nodes():
+    # q(NN6_ACHIEVABLE_GAIN) has a root at 2.71: its seven real nodes and
+    # the pair +-2.7034j certify nothing
+    target = REG["polys"]["NN6"].q.at_gains(NN6_ACHIEVABLE_GAIN)
+    H = scaled_hermite(REG["polys"]["NN6"].q, target)
+    assert {"real", "imag"} <= set(H.nodes.kinds)
+    with pytest.raises(InputError, match=r"^nodes 0\+0j, .*2\.7033648j mix real and imaginary"):
+        SofProgram(H, mu=1e-5, m=2, p=2)
 
 
 def test_program_rejects_a_negative_mu():
@@ -517,7 +529,8 @@ def test_newton_phase_reuses_the_given_evaluation():
 
     x0 = np.array([0.3, -0.2])
     x, f, g, iters, trials, failed = _newton_inner(
-        fun_grad, x0, 1.5, np.array([1e-9, 0.0]), 1e-6, 40
+        fun_grad, x0, 1.5, np.array([1e-9, 0.0]), 1e-6, 40,
+        lambda x: lambda Y: np.zeros(len(Y), bool),
     )
     assert calls == []
     assert np.array_equal(x, x0) and f == 1.5 and (iters, trials, failed) == (0, 0, False)
@@ -546,13 +559,13 @@ def test_solve_never_repeats_an_evaluation_within_an_outer_iteration(monkeypatch
 
 def test_a_solve_evaluates_the_partials_of_h_only_inside_the_objective(monkeypatch):
     # the outer records and the report read H(k) alone; constraint_eval,
-    # eval_stack and partial_rows, which build every dH/dk_l, serve
+    # h_row and partial_rows, which build every dH/dk_l, serve
     # augmented_objective, and it builds them only at a point inside the
     # domain: once per evaluation that returns
     prog, cfg = _suite_program("NN1", "power")
     expected = pickle.dumps(solve_sof(prog, cfg))
     depth, returned, builds = [], [], []
-    evaluate, stack = solver.augmented_objective, SofProgram.eval_stack
+    evaluate, stack = solver.augmented_objective, SofProgram.h_row
     partials = SofProgram.partial_rows
 
     def objective(*args, **kwargs):
@@ -564,8 +577,8 @@ def test_a_solve_evaluates_the_partials_of_h_only_inside_the_objective(monkeypat
         returned.append(None)
         return out
 
-    def eval_stack(self, k):
-        assert depth, "eval_stack was called outside augmented_objective"
+    def h_row(self, k):
+        assert depth, "h_row was called outside augmented_objective"
         return stack(self, k)
 
     def partial_rows(self, v, S):
@@ -575,7 +588,7 @@ def test_a_solve_evaluates_the_partials_of_h_only_inside_the_objective(monkeypat
 
     _refuse_evaluation(monkeypatch, "constraint_eval")
     monkeypatch.setattr(solver, "augmented_objective", objective)
-    monkeypatch.setattr(SofProgram, "eval_stack", eval_stack)
+    monkeypatch.setattr(SofProgram, "h_row", h_row)
     monkeypatch.setattr(SofProgram, "partial_rows", partial_rows)
     assert pickle.dumps(solve_sof(prog, cfg)) == expected
     assert len(builds) == len(returned) > 0
@@ -685,7 +698,7 @@ def test_h_eval_is_the_forms_evaluator_and_the_first_block_of_eval_stack(which):
     for k in gains:
         H = prog.h_eval(k)
         assert H.shape == (prog.H.n, prog.H.n)
-        assert H.tobytes() == prog.H.eval_at(k).tobytes() == prog.eval_stack(k)[0].tobytes()
+        assert H.tobytes() == prog.H.eval_at(k).tobytes() == prog.h_row(k)[0][0].tobytes()
 
 
 def _rejected(prog, y, p, k_bound):
@@ -774,6 +787,30 @@ def test_screen_flags_only_points_augmented_objective_rejects(
         assert _rejected(prog, y, p, kb)
 
 
+def test_a_program_without_gains_takes_the_box_code_with_an_empty_box(rng):
+    # mp = 0: the gain box has no entries, so it changes no value, gradient
+    # or flag, on either side of the barrier's domain limit
+    A = rng.standard_normal((3, 3))
+    prog = SofProgram(_const_form(A @ A.T + np.eye(3)), mu=0.0, m=1, p=0)
+    U, p = np.eye(3) / 3.0, 1e-3
+    edge = float(np.linalg.eigvalsh(prog.h_eval([])).min())
+    screen = solver._DomainScreen(prog, 1e4).at(np.array([edge - 1.0]), p)
+    shares = [-10.0, -1.0, 0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 1e3]
+    Y = np.array([[edge + t * p] for t in shares])
+    flags = screen(Y)
+    assert flags[-1]  # the screen is not trivially silent
+    for y, flagged in zip(Y, flags):
+        if _rejected(prog, y, p, 1e4):
+            with pytest.raises(BarrierDomainError):
+                augmented_objective(prog, y, U, p)
+            continue
+        assert not flagged
+        val, grad = augmented_objective(prog, y, U, p, k_bound=1e4, u_box=np.ones((2, 0)))
+        ref_val, ref_grad = augmented_objective(prog, y, U, p)
+        assert (val, grad.tobytes()) == (ref_val, ref_grad.tobytes())
+    assert not all(flags) and any(_rejected(prog, y, p, 1e4) for y in Y)
+
+
 def test_trial_sequences_are_screened_once_before_their_first_evaluation():
     # _in_domain walks the rows its flags leave, in order
     outside = {1.0, 2.0, 4.0, 6.0}
@@ -795,7 +832,7 @@ def test_trial_sequences_are_screened_once_before_their_first_evaluation():
     assert next(solver._in_domain(fun_grad, Y, skip))[0] == 0
     assert evaluated == [0.0]
     evaluated.clear()
-    assert [j for j, _, _ in solver._in_domain(fun_grad, Y)] == [0, 3, 5, 7]
+    assert [j for j, _, _ in solver._in_domain(fun_grad, Y, np.zeros(len(Y), bool))] == [0, 3, 5, 7]
     assert evaluated == Y[:, 0].tolist()  # no flags: every row
 
     # the line search asks the screen once, before its first evaluation,
@@ -821,7 +858,7 @@ def test_trial_sequences_are_screened_once_before_their_first_evaluation():
         evaluated.clear()
         asked.clear()
         out = solver._armijo(fun_grad, np.zeros(1), 0.0, np.ones(1), -1.0,
-                             screen if screened else None)
+                             screen if screened else lambda Y: np.zeros(len(Y), bool))
         assert out[0] == solver._STEPS[passes] and out[1] == -1.0 and out[3] == passes + 1
         assert evaluated == walk
         assert asked == ([([], every_step)] if screened else [])
@@ -888,7 +925,7 @@ def _fd_walk(fd_hessian, x, g, probe, rejected, flagged, screened):
         asked.append((len(evaluated), [probe[y.tobytes()] for y in rows]))
         return np.array([probe[y.tobytes()] in flagged for y in rows])
 
-    H = fd_hessian(fun_grad, x, g, screen if screened else None)
+    H = fd_hessian(fun_grad, x, g, screen if screened else lambda Y: np.zeros(len(Y), bool))
     return H.tobytes(), evaluated, asked
 
 
