@@ -173,17 +173,23 @@ def registry() -> dict:
     }
 
 
+def _find_plant(name: str):
+    """The plant named: an embedded fixture, else an instance file (a path,
+    or a name in HERMITESOF_DATA_DIR), else None."""
+    reg = registry()
+    embedded = {**reg["systems"], **reg["polys"]}
+    if name in embedded:
+        return embedded[name]
+    path = find_instance_file(name)
+    return None if path is None else load_instance(path)
+
+
 def get_plant(name: str):
     """Resolve a fixture name (or instance file path) to a plant object."""
-    reg = registry()
-    if name in reg["systems"]:
-        return reg["systems"][name]
-    if name in reg["polys"]:
-        return reg["polys"][name]
-    path = find_instance_file(name)
-    if path is not None:
-        return load_instance(path)
-    raise InputError(f"unknown fixture or instance: {name}")
+    plant = _find_plant(name)
+    if plant is None:
+        raise InputError(f"unknown fixture or instance: {name}")
+    return plant
 
 
 def find_instance_file(name: str) -> Path | None:
@@ -375,81 +381,69 @@ def rows_to_text(rows: Sequence[ExperimentRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _maybe_load(name: str):
-    path = find_instance_file(name)
-    return load_instance(path) if path is not None else None
+# The published settings, one row per solve in each suite's order: (system,
+# basis, mu, k0, target, SolveConfig fields).  A target is None, "mirror"
+# (mirror-shift at -0.5) or a key of `_targets()`; a row without fields
+# solves with SolveConfig's defaults.  Systems without embedded data come from
+# instance files; Table 2 sweeps the PAS targets.
+_AC4 = {"u0": 1.0 / 9}
+_NN6 = {"p0": 0.01, "u0": 1.0 / 9, "sigma": 1.0, "tol_inner": 1e-8, "k_bound": 1e8,
+        "max_outer": 150}
+_SUITES = {
+    "table1": (
+        ("NN1", "power", 1e-3, (0.0, 30.0), None, {}),
+        ("NN1", "lagrange", 1e-4, (0.0, 30.0), "mirror", {}),
+        ("AC4", "power", 1e-5, (0.0, 0.0), None, _AC4),
+        ("AC4", "lagrange", 1e-5, (0.0, 0.0), "AC4_shifted", _AC4),
+        ("NN6", "lagrange", 1e-5, (0.0,) * 4, "NN6_sigma1", _NN6),
+        ("AC7", "power", 1.0, (0.0, 0.0), None, {}),
+        ("AC7", "lagrange", 1e-5, (0.0, 0.0), "mirror", {}),
+        ("AC17", "power", 1.0, (0.0, 0.0), None, {}),
+        ("AC17", "lagrange", 1.0, (0.0, 0.0), "mirror", {}),
+        ("REA3", "power", 1e-5, (0.0,) * 3, None, {}),
+        ("REA3", "lagrange", 1e-2, (0.0,) * 3, "mirror", {}),
+        ("UWV", "power", 1.0, (0.0,) * 4, None, {}),
+        ("UWV", "lagrange", 1.0, (0.0,) * 4, "mirror", {}),
+        ("NN5", "power", 1.0, (10.0, 5.0), None, {}),
+        ("NN5", "lagrange", 1e-5, (10.0, 5.0), "mirror", {}),
+        ("HE1", "power", 1.0, (1.0, 1.0), None, {}),
+        ("HE1", "lagrange", 1e-1, (1.0, 1.0), "mirror", {}),
+    ),
+    "table2": (
+        ("PAS", "power", 1e-3, (0.0,) * 3, None, {}),
+        ("PAS", "lagrange", 1e-8, (0.0,) * 3, "PAS_sigma1", {}),
+        ("PAS", "lagrange", 1e-5, (0.0,) * 3, "PAS_sigma2", {}),
+        ("PAS", "lagrange", 1e-2, (0.0,) * 3, "PAS_sigma3", {}),
+    ),
+}
+
+
+def _config(basis, mu, k0, target, fields) -> ExperimentConfig:
+    """A fresh ExperimentConfig of one suite row."""
+    targets = {None: None, "mirror": TargetSpec(mode="mirror-shift", shift=-0.5), **_targets()}
+    return ExperimentConfig(basis, mu, k0=list(k0), target=targets[target],
+                            solver=SolveConfig(**fields) if fields else None)
+
+
+def suite(name: str) -> list[tuple[str, object, ExperimentConfig]]:
+    """The (system, plant, config) triples of a published suite; the plant
+    of a system without embedded data or an instance file is None."""
+    if name not in _SUITES:
+        raise InputError(f"unknown suite {name!r}")
+    return [(row[0], _find_plant(row[0]), _config(*row[1:])) for row in _SUITES[name]]
 
 
 def table1_suite() -> list[tuple[str, object, ExperimentConfig]]:
-    """Reference settings mirroring the published comparison table; systems
-    without embedded data are loaded from instance files when available."""
-    reg = registry()
-    targets = reg["targets"]
-    mirror = TargetSpec(mode="mirror-shift", shift=-0.5)
-    suite: list[tuple[str, object, ExperimentConfig]] = []
-
-    nn1 = reg["systems"]["NN1"]
-    suite.append(("NN1", nn1, ExperimentConfig("power", 1e-3, k0=[0.0, 30.0])))
-    suite.append(
-        ("NN1", nn1, ExperimentConfig("lagrange", 1e-4, k0=[0.0, 30.0], target=mirror))
-    )
-    ac4 = reg["polys"]["AC4"]
-    ac4_solver = SolveConfig(u0=1.0 / 9)
-    suite.append(
-        ("AC4", ac4, ExperimentConfig("power", 1e-5, k0=[0.0, 0.0], solver=SolveConfig(u0=1.0 / 9)))
-    )
-    suite.append(
-        ("AC4", ac4, ExperimentConfig(
-            "lagrange", 1e-5, k0=[0.0, 0.0],
-            target=targets["AC4_shifted"], solver=ac4_solver,
-        ))
-    )
-    nn6 = reg["polys"]["NN6"]
-    nn6_solver = SolveConfig(
-        p0=0.01, u0=1.0 / 9, sigma=1.0, tol_inner=1e-8, k_bound=1e8, max_outer=150
-    )
-    suite.append(
-        ("NN6", nn6, ExperimentConfig(
-            "lagrange", 1e-5, k0=[0.0] * 4, target=targets["NN6_sigma1"],
-            solver=nn6_solver,
-        ))
-    )
-
-    file_rows = [
-        ("AC7", "power", 1.0, [0.0, 0.0]),
-        ("AC7", "lagrange", 1e-5, [0.0, 0.0]),
-        ("AC17", "power", 1.0, [0.0, 0.0]),
-        ("AC17", "lagrange", 1.0, [0.0, 0.0]),
-        ("REA3", "power", 1e-5, [0.0, 0.0, 0.0]),
-        ("REA3", "lagrange", 1e-2, [0.0, 0.0, 0.0]),
-        ("UWV", "power", 1.0, [0.0] * 4),
-        ("UWV", "lagrange", 1.0, [0.0] * 4),
-        ("NN5", "power", 1.0, [10.0, 5.0]),
-        ("NN5", "lagrange", 1e-5, [10.0, 5.0]),
-        ("HE1", "power", 1.0, [1.0, 1.0]),
-        ("HE1", "lagrange", 1e-1, [1.0, 1.0]),
-    ]
-    for name, basis, mu, k0 in file_rows:
-        plant = _maybe_load(name)
-        cfg = ExperimentConfig(
-            basis, mu, k0=k0, target=mirror if basis == "lagrange" else None
-        )
-        suite.append((name, plant, cfg))
-    return suite
+    return suite("table1")
 
 
 def table2_suite() -> list[tuple[str, object, ExperimentConfig]]:
-    """Target-polynomial sweep for the PAS system (file-loaded)."""
-    reg = registry()
-    targets = reg["targets"]
-    plant = _maybe_load("PAS")
-    k0 = [0.0, 0.0, 0.0]
-    return [
-        ("PAS", plant, ExperimentConfig("power", 1e-3, k0=k0)),
-        ("PAS", plant, ExperimentConfig(
-            "lagrange", 1e-8, k0=k0, target=targets["PAS_sigma1"])),
-        ("PAS", plant, ExperimentConfig(
-            "lagrange", 1e-5, k0=k0, target=targets["PAS_sigma2"])),
-        ("PAS", plant, ExperimentConfig(
-            "lagrange", 1e-2, k0=k0, target=targets["PAS_sigma3"])),
-    ]
+    return suite("table2")
+
+
+def suite_config(system: str, basis: str) -> ExperimentConfig | None:
+    """The Table-1 settings of system and basis, or None; loads no plant."""
+    for row in _SUITES["table1"]:
+        if row[:2] == (system, basis):
+            return _config(*row[1:])
+    return None

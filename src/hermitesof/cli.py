@@ -2,7 +2,8 @@
 solve the output-feedback program, verify gains, and run benchmark suites.
 
 Exit codes: 0 success (solve: converged and verified stable), 1 solver
-non-convergence or unstable gain, 2 input error (solve: also an `error:` row).
+non-convergence or unstable gain, 2 input error (solve: also an `error:` row;
+solve and bench: also an `--out` that cannot be written).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .benchmarks import (
     rows_to_text,
     run_experiment,
     run_single,
-    table1_suite,
-    table2_suite,
+    suite,
+    suite_config,
     target_poly,
     _sym_poly,
 )
@@ -59,15 +60,6 @@ def _target_spec(args) -> TargetSpec | None:
         return TargetSpec(mode="explicit-roots", roots=roots)
     if getattr(args, "target_shift", None) is not None:
         return TargetSpec(mode="mirror-shift", shift=args.target_shift)
-    return None
-
-
-def _suite_defaults(name: str, basis: str) -> ExperimentConfig | None:
-    """Reference-run settings for embedded fixtures (target, tuned solver
-    knobs)."""
-    for row_name, _, cfg in table1_suite():
-        if row_name == name and cfg.basis == basis:
-            return cfg
     return None
 
 
@@ -154,23 +146,24 @@ def _write_rows(args, rows, payload) -> None:
     else:
         print((rows_to_csv if args.format == "csv" else rows_to_text)(rows))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rows_to_csv(rows))
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(rows_to_csv(rows))
+        except OSError as exc:
+            raise InputError(f"{args.out}: cannot write: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
     plant = get_plant(args.fixture)
-    base = _suite_defaults(args.fixture, args.basis)
-    cfg = ExperimentConfig(
-        basis=args.basis,
-        mu=args.mu if args.mu is not None else (base.mu if base else 1e-5),
-        k0=_parse_list(args.K0, float, "numeric") if args.K0 else (base.k0 if base else None),
-        target=_target_spec(args) or (base.target if base else None),
-        lam0=args.lambda0,
-        solver=base.solver if base else None,
-    )
+    cfg = suite_config(args.fixture, args.basis) or ExperimentConfig(args.basis, 1e-5)
+    if args.mu is not None:
+        cfg.mu = args.mu
+    if args.K0:
+        cfg.k0 = _parse_list(args.K0, float, "numeric")
+    cfg.target = _target_spec(args) or cfg.target
     if cfg.basis == "lagrange" and cfg.target is None:
         cfg.target = TargetSpec(mode="mirror-shift", shift=-0.5)
+    cfg.lam0 = args.lambda0
     overrides = {
         name: value
         for name, value in (
@@ -213,10 +206,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    suites = {"table1": table1_suite, "table2": table2_suite}
-    if args.suite not in suites:
-        raise InputError(f"unknown suite {args.suite!r}")
-    rows = run_experiment(suites[args.suite]())
+    rows = run_experiment(suite(args.suite))
     _write_rows(args, rows, [row_json(r) for r in rows])
     return 0
 

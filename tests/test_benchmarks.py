@@ -12,6 +12,8 @@ from hermitesof.benchmarks import (
     rows_to_csv,
     run_experiment,
     run_single,
+    suite,
+    suite_config,
     table1_suite,
 )
 from hermitesof.cli import main
@@ -181,3 +183,44 @@ def test_even_degree_file_plant_gets_lagrange_rows(tmp_path, monkeypatch, capsys
     main(["solve", "--fixture", "AC17", "--basis", "lagrange", "--format", "csv"])
     row = capsys.readouterr().out.splitlines()[1]
     assert not row.split(",")[9].startswith("error:"), row
+
+
+def test_suite_config_is_the_table1_row_and_loads_no_plant(tmp_path, monkeypatch):
+    plant = _planted_plant(7, 3, 1, 2)
+    save_instance(SystemInstance("AC7", plant.A, plant.B, plant.C), tmp_path / "AC7.json")
+    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+    rows = table1_suite()
+    assert len(rows) == 17
+
+    def refuse(path):
+        raise AssertionError(f"loaded {path}")
+
+    monkeypatch.setattr("hermitesof.benchmarks.load_instance", refuse)
+    with pytest.raises(AssertionError, match="AC7.json"):
+        table1_suite()
+    for name, _, cfg in rows:
+        assert suite_config(name, cfg.basis) == cfg, (name, cfg.basis)
+    assert suite_config("PAS", "lagrange") is None
+    assert suite_config("NOPE", "power") is None
+    # only the AC4 and NN6 rows set SolveConfig fields
+    assert [name for name, _, cfg in rows if cfg.solver is not None] == ["AC4", "AC4", "NN6"]
+
+
+def test_suites_build_fresh_configs_on_every_call():
+    a, b = suite_config("AC4", "lagrange"), suite_config("AC4", "lagrange")
+    assert a.k0 is not b.k0 and a.solver is not b.solver
+    first, second = table1_suite(), table1_suite()
+    for (_, _, c1), (_, _, c2) in zip(first, second):
+        assert c1.k0 is not c2.k0
+        assert c1.solver is None or c1.solver is not c2.solver
+    # nor do two rows of one call share a SolveConfig
+    ac4_power, ac4_lagrange = [cfg for name, _, cfg in first if name == "AC4"]
+    assert ac4_power.solver is not ac4_lagrange.solver
+    a.k0.append(1.0)
+    a.solver.u0 = 1.0
+    assert suite_config("AC4", "lagrange") == b
+
+
+def test_unknown_suite_is_an_input_error():
+    with pytest.raises(InputError, match="unknown suite 'table3'"):
+        suite("table3")

@@ -340,3 +340,31 @@ def test_out_file_holds_the_csv_text(capsys, monkeypatch, tmp_path):
           "--format", "csv", "--out", str(path)])
     # stdout is the same CSV text plus the newline print adds
     assert path.read_text() + "\n" == capsys.readouterr().out
+
+
+def test_an_unwritable_out_is_an_input_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    missing = tmp_path / "missing" / "rows.csv"
+    for argv, path in (
+        (["bench", "--suite", "table2", "--out", str(tmp_path)], tmp_path),
+        (["solve", "--fixture", "NN1", "--basis", "power", "--mu", "-1",
+          "--out", str(missing)], missing),
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot write: "), err
+        assert "Traceback" not in err
+
+
+def test_solve_reads_no_instance_file_of_another_system(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    argv = ["solve", "--fixture", "NN1", "--basis", "power", "--format", "csv"]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out
+    (tmp_path / "AC7.json").write_text("{bad")
+    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == clean
+    # a suite row's instance file is that suite's input
+    assert main(["bench", "--suite", "table1"]) == 2
+    assert f"error: {tmp_path / 'AC7.json'}: malformed JSON" in capsys.readouterr().err
