@@ -28,11 +28,11 @@ class PolyFixture:
 
     name: str
     q: CharPoly
-    m: int = 1  # gain matrix shape when symbolic
+    m = 1  # every printed fixture has one input
 
     @property
     def p(self) -> int:
-        return self.q.nvars // self.m if self.q.nvars else 0
+        return self.q.nvars
 
 
 def _mp(nv: int, const: float = 0.0, **lin) -> np.ndarray:
@@ -52,102 +52,59 @@ def _printed(rows) -> CharPoly:
     return CharPoly(gain_support(1, Q.shape[1] - 1), Q)
 
 
-def _nn1_system() -> SystemInstance:
-    return SystemInstance(
-        name="NN1",
-        A=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 13.0, 0.0]],
-        B=[[0.0], [0.0], [1.0]],
-        C=[[0.0, 5.0, -1.0], [-1.0, -1.0, 0.0]],
-    )
-
-
-def _nn6_poly() -> PolyFixture:
-    nv = 4
-    coeffs = [
-        _mp(nv, 0.0, k1=95113415.0),
-        _mp(nv, -4.3155562e8, k2=95113415.0, k3=3133948.9),
+# The printed fixtures: NN1's (A, B, C); the rows of each printed
+# polynomial, one per power of s (see `_printed`); and the target root lists.
+_SYSTEMS = {
+    "NN1": (((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 13.0, 0.0)),  # A
+            ((0.0,), (0.0,), (1.0,)),  # B
+            ((0.0, 5.0, -1.0), (-1.0, -1.0, 0.0))),  # C
+}
+_POLYS = {
+    "NN6": (
+        _mp(4, 0.0, k1=95113415.0),
+        _mp(4, -4.3155562e8, k2=95113415.0, k3=3133948.9),
         # The k3 coefficient sign follows the printed Hermite entries of this
         # benchmark, which are internally consistent (the polynomial display
         # carries the opposite sign); the 9th digit is fixed by the printed
         # k3^2 Hermite coefficient, which is a near-cancellation.
-        _mp(nv, -1.5626281e8, k1=-12660338.0, k3=3174671.8199274541, k4=3133948.9),
-        _mp(nv, 49276365.0, k2=-12660338.0, k3=35714.763, k4=3174671.8),
-        _mp(nv, 20216420.0, k1=-57334.489, k3=36171.693, k4=35714.763),
-        _mp(nv, 1149834.9, k2=-57334.489, k3=15.132810, k4=36171.693),
-        _mp(nv, 91133.935, k1=-14.685000, k3=14.688300, k4=15.132810),
-        _mp(nv, 4007.6500, k2=-14.688300, k4=14.685000),
-        _mp(nv, 23.300000),
-        _mp(nv, 1.0),
-    ]
-    return PolyFixture(
-        name="NN6",
-        q=_printed(coeffs),
-        m=1,
-    )
-
-
-def _ac4_poly() -> PolyFixture:
-    nv = 2
-    coeffs = [
-        _mp(nv, -66.837750, k1=-980.62500, k2=-867.10818),
-        _mp(nv, -1330.6306, k1=-19613.407, k2=-18322.789),
-        _mp(nv, 130.03210, k1=-18.135000, k2=-19612.500),
-        _mp(nv, 150.92600),
-        _mp(nv, 1.0),
-    ]
-    return PolyFixture(
-        name="AC4",
-        q=_printed(coeffs),
-        m=1,
-    )
-
-
-def _ac4_openloop() -> PolyFixture:
-    return PolyFixture(
-        name="AC4_openloop",
-        q=_printed([-66.837750, -1330.6306, 130.03210, 150.92600, 1.0]),
-    )
-
-
-def _nn5_openloop() -> PolyFixture:
-    return PolyFixture(
-        name="NN5_openloop",
-        q=_printed(
-            [6.3000000, -448.72180, 1.2196400, 2249.4849, 458.42510,
-             96.515330, 10.171000, 1.0]
-        ),
-    )
+        _mp(4, -1.5626281e8, k1=-12660338.0, k3=3174671.8199274541, k4=3133948.9),
+        _mp(4, 49276365.0, k2=-12660338.0, k3=35714.763, k4=3174671.8),
+        _mp(4, 20216420.0, k1=-57334.489, k3=36171.693, k4=35714.763),
+        _mp(4, 1149834.9, k2=-57334.489, k3=15.132810, k4=36171.693),
+        _mp(4, 91133.935, k1=-14.685000, k3=14.688300, k4=15.132810),
+        _mp(4, 4007.6500, k2=-14.688300, k4=14.685000),
+        _mp(4, 23.300000),
+        _mp(4, 1.0),
+    ),
+    "AC4": (
+        _mp(2, -66.837750, k1=-980.62500, k2=-867.10818),
+        _mp(2, -1330.6306, k1=-19613.407, k2=-18322.789),
+        _mp(2, 130.03210, k1=-18.135000, k2=-19612.500),
+        _mp(2, 150.92600),
+        _mp(2, 1.0),
+    ),
+    "AC4_openloop": (-66.837750, -1330.6306, 130.03210, 150.92600, 1.0),
+    "NN5_openloop": (6.3000000, -448.72180, 1.2196400, 2249.4849, 458.42510,
+                     96.515330, 10.171000, 1.0),
+}
+_PAS_PAIR = (-36.646 + 523.05j, -36.646 - 523.05j)
+_TARGET_ROOTS = {
+    "NN6_sigma1": (
+        -1.0000e-3 + 1.0j, -1.0000e-3 - 1.0j,
+        -7.2028e-2 + 60.804j, -7.2028e-2 - 60.804j,
+        -1.0785e-1 + 15.677j, -1.0785e-1 - 15.677j,
+        -2.6764, -3.3000, -19.694,
+    ),
+    "AC4_shifted": (-5.0000e-2, -5.0000e-2, -3.4552, -150.00),
+    "PAS_sigma1": (-5.0000e-2, -5.0000e-2, -9.5970e-1) + _PAS_PAIR,
+    "PAS_sigma2": (-1.0000e-3, -1.0000e-3, -9.5970e-1) + _PAS_PAIR,
+    "PAS_sigma3": (0.0, -1.0000e-4, -9.5970e-1) + _PAS_PAIR,
+}
 
 
 def _targets() -> dict[str, TargetSpec]:
-    pas_pair = (-36.646 + 523.05j, -36.646 - 523.05j)
-    return {
-        "NN6_sigma1": TargetSpec(
-            mode="explicit-roots",
-            roots=(
-                -1.0000e-3 + 1.0j, -1.0000e-3 - 1.0j,
-                -7.2028e-2 + 60.804j, -7.2028e-2 - 60.804j,
-                -1.0785e-1 + 15.677j, -1.0785e-1 - 15.677j,
-                -2.6764, -3.3000, -19.694,
-            ),
-        ),
-        "AC4_shifted": TargetSpec(
-            mode="explicit-roots",
-            roots=(-5.0000e-2, -5.0000e-2, -3.4552, -150.00),
-        ),
-        "PAS_sigma1": TargetSpec(
-            mode="explicit-roots",
-            roots=(-5.0000e-2, -5.0000e-2, -9.5970e-1) + pas_pair,
-        ),
-        "PAS_sigma2": TargetSpec(
-            mode="explicit-roots",
-            roots=(-1.0000e-3, -1.0000e-3, -9.5970e-1) + pas_pair,
-        ),
-        "PAS_sigma3": TargetSpec(
-            mode="explicit-roots",
-            roots=(0.0, -1.0000e-4, -9.5970e-1) + pas_pair,
-        ),
-    }
+    return {name: TargetSpec(mode="explicit-roots", roots=roots)
+            for name, roots in _TARGET_ROOTS.items()}
 
 
 # NN6 achievable-target fixture: printed random gain and the resulting
@@ -159,16 +116,20 @@ NN6_ACHIEVABLE_NODES = (
 )
 
 
+def _embedded(name: str):
+    """A fresh plant of the embedded fixture named, or None."""
+    if name in _SYSTEMS:
+        return SystemInstance(name, *_SYSTEMS[name])
+    if name in _POLYS:
+        return PolyFixture(name, _printed(_POLYS[name]))
+    return None
+
+
 def registry() -> dict:
     """Embedded paper fixtures, keyed by benchmark name."""
     return {
-        "systems": {"NN1": _nn1_system()},
-        "polys": {
-            "NN6": _nn6_poly(),
-            "AC4": _ac4_poly(),
-            "AC4_openloop": _ac4_openloop(),
-            "NN5_openloop": _nn5_openloop(),
-        },
+        "systems": {name: _embedded(name) for name in _SYSTEMS},
+        "polys": {name: _embedded(name) for name in _POLYS},
         "targets": _targets(),
     }
 
@@ -176,10 +137,9 @@ def registry() -> dict:
 def _find_plant(name: str):
     """The plant named: an embedded fixture, else an instance file (a path,
     or a name in HERMITESOF_DATA_DIR), else None."""
-    reg = registry()
-    embedded = {**reg["systems"], **reg["polys"]}
-    if name in embedded:
-        return embedded[name]
+    plant = _embedded(name)
+    if plant is not None:
+        return plant
     path = find_instance_file(name)
     return None if path is None else load_instance(path)
 

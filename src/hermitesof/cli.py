@@ -3,7 +3,7 @@ solve the output-feedback program, verify gains, and run benchmark suites.
 
 Exit codes: 0 success (solve: converged and verified stable), 1 solver
 non-convergence or unstable gain, 2 input error (solve: also an `error:` row;
-solve and bench: also an `--out` that cannot be written).
+solve and bench: also an `--out` that cannot be written, found before a solve).
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ def _parse_list(text: str, kind, what: str) -> list:
 
 
 def _target_spec(args) -> TargetSpec | None:
-    if getattr(args, "roots", None):
+    if args.roots:
         roots = tuple(_parse_list(args.roots, complex, "root"))
         return TargetSpec(mode="explicit-roots", roots=roots)
-    if getattr(args, "target_shift", None) is not None:
+    if args.target_shift is not None:
         return TargetSpec(mode="mirror-shift", shift=args.target_shift)
     return None
 
@@ -138,17 +138,26 @@ def cmd_cond(args) -> int:
     return 0
 
 
-def _write_rows(args, rows, payload) -> None:
+def _open_out(path):
+    """The `--out` file opened for writing (None without one), once the
+    inputs have resolved: an unwritable path fails before any solve."""
+    try:
+        return open(path, "w") if path else None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write: {exc}") from exc
+
+
+def _write_rows(args, out, rows, payload) -> None:
     """Print rows in args.format, `payload` being what json prints, and write
-    their CSV to args.out when it is given."""
+    their CSV to out, the `--out` file that `_open_out` opened, and close it."""
     if args.format == "json":
         print(json.dumps(payload, indent=1))
     else:
         print((rows_to_csv if args.format == "csv" else rows_to_text)(rows))
-    if args.out:
+    if out:
         try:
-            with open(args.out, "w") as fh:
-                fh.write(rows_to_csv(rows))
+            with out:
+                out.write(rows_to_csv(rows))
         except OSError as exc:
             raise InputError(f"{args.out}: cannot write: {exc}") from exc
 
@@ -172,8 +181,9 @@ def cmd_solve(args) -> int:
         if value is not None
     }
     cfg.solver = dataclasses.replace(cfg.solver or SolveConfig(), **overrides)
+    out = _open_out(args.out)
     row = run_single(args.fixture, plant, cfg)
-    _write_rows(args, [row], row_json(row))
+    _write_rows(args, out, [row], row_json(row))
     if row.status.startswith("error:"):
         return 2
     return 0 if row.status == "converged" and row.stable else 1
@@ -206,8 +216,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = run_experiment(suite(args.suite))
-    _write_rows(args, rows, [row_json(r) for r in rows])
+    jobs = suite(args.suite)
+    out = _open_out(args.out)
+    rows = run_experiment(jobs)
+    _write_rows(args, out, rows, [row_json(r) for r in rows])
     return 0
 
 
@@ -221,29 +233,29 @@ def _add_common(sp, formats, target=True):
                     help="embedded fixture name or instance JSON path")
     sp.add_argument("--format", choices=formats, default="text")
     if target:
-        sp.add_argument("--roots", help="comma-separated target roots (complex ok)")
-        sp.add_argument("--target-shift", type=float, default=None,
-                        help="mirror unstable open-loop poles to this real part")
+        group = sp.add_mutually_exclusive_group()
+        group.add_argument("--roots", help="comma-separated target roots (complex ok)")
+        group.add_argument("--target-shift", type=float, default=None,
+                           help="mirror unstable open-loop poles to this real part")
 
 
 # argparse reads a value that starts with "-" and is not a plain number,
-# such as "-1,2", as an option; a list value of these flags that starts like
-# a number is joined to its flag ("--K=-1,2") before parsing
-_LIST_FLAGS = ("--K", "--K0", "--roots")
+# such as "-1,2" or "-1e2", as an option; a value that starts like a
+# negative number is joined to its flag ("--K=-1,2") before parsing
 _NUMBER_START = re.compile(r"-[\d.]")
 
 
-def _join_list_values(argv: list[str]) -> list[str]:
+def _join_negative_values(argv: list[str]) -> list[str]:
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _LIST_FLAGS and _NUMBER_START.match(arg):
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NUMBER_START.match(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermitesof",
         description="Hermite-matrix construction and static output feedback synthesis",
@@ -282,8 +294,14 @@ def main(argv=None) -> int:
     sp.add_argument("--format", choices=_ROW_FORMATS, default="text")
     sp.add_argument("--out", help="also write CSV to this path")
     sp.set_defaults(fn=cmd_bench)
+    return parser
 
-    args = parser.parse_args(_join_list_values(sys.argv[1:] if argv is None else list(argv)))
+
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except HermiteSofError as exc:

@@ -1,12 +1,16 @@
 """Embedded fixtures, instance file I/O, and the experiment harness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import hermitesof.benchmarks
 from hermitesof.benchmarks import (
     CSV_HEADER,
     DATA_DIR_ENV,
     ExperimentConfig,
+    get_plant,
     load_instance,
     registry,
     rows_to_csv,
@@ -48,6 +52,53 @@ def test_registry_nn5_constant_term():
     q = REG["polys"]["NN5_openloop"].q
     assert q.coeffs[0].terms == {(): 6.3000000}
     assert q.n == 7
+
+
+def _arrays(plant):
+    if isinstance(plant, SystemInstance):
+        return plant.A, plant.B, plant.C
+    return plant.q.E, plant.q.Q
+
+
+def test_registry_holds_the_printed_fixtures_bit_for_bit():
+    # any change to a name, value, dtype, shape or order changes the digest
+    h = hashlib.sha256()
+    for kind in ("systems", "polys"):
+        for name, plant in REG[kind].items():
+            h.update(f"{kind} {name} {plant.name} m={plant.m} p={plant.p}".encode())
+            for a in _arrays(plant):
+                h.update(f"{a.dtype.str} {a.shape}".encode() + a.tobytes())
+    for name, target in REG["targets"].items():
+        h.update(f"target {name} {target!r}".encode())
+    assert h.hexdigest() == "beb21bc2d8e8692663ddfbe8d7126775d6846314ac0206fb233b6590c97666d9"
+
+
+@pytest.mark.parametrize("name", ["NN1", "NN6", "AC4", "AC4_openloop", "NN5_openloop"])
+def test_each_lookup_builds_a_fresh_copy_of_the_registry_entry(name):
+    entry = {**REG["systems"], **REG["polys"]}[name]
+    first, second = get_plant(name), get_plant(name)
+    assert (first.name, first.m, first.p) == (entry.name, entry.m, entry.p)
+    for a, b, c in zip(_arrays(first), _arrays(second), _arrays(entry)):
+        assert a.dtype == c.dtype and np.array_equal(a, c)
+        assert not np.shares_memory(a, b) and not np.shares_memory(a, c)
+
+
+def test_a_lookup_builds_only_the_fixture_it_names(tmp_path, monkeypatch):
+    plant = _planted_plant(3, 3, 1, 2)
+    path = tmp_path / "planted.json"
+    save_instance(SystemInstance("planted", plant.A, plant.B, plant.C), path)
+    calls = []
+    printed = hermitesof.benchmarks._printed
+
+    def counted(rows):
+        calls.append(rows)
+        return printed(rows)
+
+    monkeypatch.setattr(hermitesof.benchmarks, "_printed", counted)
+    assert get_plant("NN6").q.n == 9 and len(calls) == 1
+    get_plant("NN1")
+    assert np.array_equal(get_plant(str(path)).A, plant.A)
+    assert len(calls) == 1
 
 
 def test_instance_round_trip(tmp_path):

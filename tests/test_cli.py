@@ -1,6 +1,7 @@
 """Command-line interface: output content and exit codes."""
 
 import json
+import os
 import re
 
 import pytest
@@ -147,7 +148,9 @@ def test_only_the_row_commands_offer_csv(capsys, monkeypatch):
     (["verify", "--fixture", "NN1", "--K", "-1,2"], "stable: false"),
     (["hermite", "--fixture", "NN1", "--basis", "lagrange", "--roots", "-1,-2,-3"], "H(1,1) = "),
     (["solve", "--fixture", "NN1", "--basis", "power", "--K0", "-1,2e4"], "[-1 20000]"),
-], ids=["verify-K", "hermite-roots", "solve-K0"])
+    (["solve", "--fixture", "NN1", "--basis", "power", "--lambda0", "-1e2"], "converged"),
+    (["cond", "--fixture", "AC4_openloop", "--target-shift", "-1e-1"], "142.74356"),
+], ids=["verify-K", "hermite-roots", "solve-K0", "solve-lambda0", "cond-target-shift"])
 def test_list_values_may_start_with_a_minus_sign(argv, says, capsys):
     # argparse alone reads "-1,2" as an option; the "=" form always worked
     rc = main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"])
@@ -354,6 +357,40 @@ def test_an_unwritable_out_is_an_input_error(capsys, monkeypatch, tmp_path):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: cannot write: "), err
         assert "Traceback" not in err
+
+
+def test_an_unwritable_out_fails_before_any_solve(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("solved before opening --out")
+
+    monkeypatch.setattr("hermitesof.cli.run_experiment", refuse)
+    monkeypatch.setattr("hermitesof.cli.run_single", refuse)
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    for argv in (["bench", "--suite", "table1"], ["solve", "--fixture", "NN1"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 2, argv
+        out = capsys.readouterr()
+        assert out.err.startswith(f"error: {tmp_path}: cannot write: "), out.err
+        assert out.out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_a_failed_write_to_an_opened_out_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    assert main(["bench", "--suite", "table2", "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: /dev/full: cannot write: "), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hermite", "--fixture", "NN1", "--basis", "lagrange"],
+    ["cond", "--fixture", "AC4_openloop"],
+    ["solve", "--fixture", "NN1"],
+], ids=["hermite", "cond", "solve"])
+def test_roots_and_target_shift_are_exclusive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--roots", "-1,-2,-3", "--target-shift", "-0.5"])
+    assert exc.value.code == 2
+    assert "--target-shift: not allowed with argument --roots" in capsys.readouterr().err
 
 
 def test_solve_reads_no_instance_file_of_another_system(capsys, monkeypatch, tmp_path):
