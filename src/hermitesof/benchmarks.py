@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import HermiteSofError, InputError
 from .hermite import HermiteForm, hermite_power, scaled_hermite
-from .polynomials import CharPoly, char_poly, gain_support
+from .polynomials import CharPoly, gain_support
 from .solver import SofProgram, SolveConfig, SolveReport, solve_sof, verify_solution
 from .stability import TargetSpec, build_target, roots
 from .systems import SystemInstance
@@ -135,13 +135,18 @@ def registry() -> dict:
 
 
 def _find_plant(name: str):
-    """The plant named: an embedded fixture, else an instance file (a path,
-    or a name in HERMITESOF_DATA_DIR), else None."""
+    """The plant named: an embedded fixture, else an instance file (a `.json`
+    path that is a file, else <name>.json in HERMITESOF_DATA_DIR), else None."""
     plant = _embedded(name)
     if plant is not None:
         return plant
-    path = find_instance_file(name)
-    return None if path is None else load_instance(path)
+    path = Path(name)
+    if not (path.suffix == ".json" and path.is_file()):
+        data_dir = os.environ.get(DATA_DIR_ENV)
+        if not data_dir:
+            return None
+        path = Path(data_dir) / f"{name}.json"
+    return load_instance(path) if path.is_file() else None
 
 
 def get_plant(name: str):
@@ -150,18 +155,6 @@ def get_plant(name: str):
     if plant is None:
         raise InputError(f"unknown fixture or instance: {name}")
     return plant
-
-
-def find_instance_file(name: str) -> Path | None:
-    p = Path(name)
-    if p.suffix == ".json" and p.is_file():
-        return p
-    data_dir = os.environ.get(DATA_DIR_ENV)
-    if data_dir:
-        cand = Path(data_dir) / f"{name}.json"
-        if cand.is_file():
-            return cand
-    return None
 
 
 def load_instance(path) -> SystemInstance:
@@ -222,14 +215,6 @@ class ExperimentRow:
     stable: bool = False
 
 
-def _sym_poly(plant) -> tuple[CharPoly, int, int]:
-    if isinstance(plant, SystemInstance):
-        return char_poly(plant), plant.m, plant.p
-    if isinstance(plant, PolyFixture):
-        return plant.q, plant.m, plant.p
-    raise InputError("plant must be a SystemInstance or PolyFixture")
-
-
 def _fmt_vec(v) -> str:
     arr = np.atleast_2d(np.asarray(v, dtype=float))
     rows = [" ".join(f"{x:.8g}" for x in row) for row in arr]
@@ -250,20 +235,24 @@ def hermite_form(
     q, basis: str, target: TargetSpec | None, part: str | None = None
 ) -> HermiteForm:
     """The Hermite form of q that a solve or a display uses: the power form,
-    or for "lagrange" the Lagrange form over the target's nodes (see
-    `nodes_from_target` for the part they come from), scaled by the
-    target's own form."""
-    if basis == "power":
-        return hermite_power(q)
-    if basis != "lagrange":
+    or for "lagrange" the Lagrange form over the nodes of the target (the
+    mirror shift at -0.5 when None; see `nodes_from_target` for the part
+    they come from), scaled by the target's own form.  A form with a
+    coefficient that overflows is an input error."""
+    if basis not in ("power", "lagrange"):
         raise InputError(f"unknown basis {basis!r}")
-    if target is None:
-        raise InputError("lagrange basis requires a target spec")
-    return scaled_hermite(q, target_poly(q, target), part=part)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if basis == "power":
+            H = hermite_power(q)
+        else:
+            H = scaled_hermite(q, target_poly(q, target or TargetSpec()), part=part)
+    if not np.isfinite(H.C).all():
+        raise InputError(f"the {basis} Hermite form has a non-finite coefficient")
+    return H
 
 
 def run_single(name: str, plant, cfg: ExperimentConfig) -> ExperimentRow:
-    q, m, p = _sym_poly(plant)
+    q, m, p = plant.q, plant.m, plant.p
     base = cfg.solver or SolveConfig()
     k0 = base.k0 if cfg.k0 is None else cfg.k0
     k0 = np.zeros(m * p) if k0 is None else np.asarray(k0, dtype=float)
@@ -380,7 +369,7 @@ _SUITES = {
 
 def _config(basis, mu, k0, target, fields) -> ExperimentConfig:
     """A fresh ExperimentConfig of one suite row."""
-    targets = {None: None, "mirror": TargetSpec(mode="mirror-shift", shift=-0.5), **_targets()}
+    targets = {None: None, "mirror": TargetSpec(), **_targets()}
     return ExperimentConfig(basis, mu, k0=list(k0), target=targets[target],
                             solver=SolveConfig(**fields) if fields else None)
 

@@ -28,7 +28,6 @@ from .benchmarks import (
     suite,
     suite_config,
     target_poly,
-    _sym_poly,
 )
 from .errors import HermiteSofError, InputError
 from .hermite import (
@@ -63,43 +62,37 @@ def _target_spec(args) -> TargetSpec | None:
     return None
 
 
+def _show(args, payload, lines) -> None:
+    """Print payload as JSON under `--format json`, else the lines."""
+    print(json.dumps(payload, indent=1) if args.format == "json" else "\n".join(lines))
+
+
 def cmd_hermite(args) -> int:
     plant = get_plant(args.fixture)
-    q, _, _ = _sym_poly(plant)
     spec = None
     if args.basis == "lagrange":
         spec = _target_spec(args)
         if spec is None:
             raise InputError("lagrange basis needs --roots or --target-shift")
-    H = hermite_form(q, args.basis, spec)
+    H = hermite_form(plant.q, args.basis, spec)
     entries = {
         f"{i},{j}": str(H.entry(i, j))
         for i in range(1, H.n + 1)
         for j in range(i, H.n + 1)
     }
-    if args.format == "json":
-        payload = {"basis": H.basis, "n": H.n, "entries": entries}
-        if H.nodes is not None:
-            payload["nodes"] = [str(u) for u in H.nodes.values]
-        print(json.dumps(payload, indent=1))
-        return 0
+    payload = {"basis": H.basis, "n": H.n, "entries": entries}
     lines = [f"basis: {H.basis}  n: {H.n}  gains: {H.nvars}"]
     if H.nodes is not None:
-        lines.append(
-            "nodes: " + ", ".join(f"{u:.8g}" for u in H.nodes.values)
-        )
+        payload["nodes"] = [str(u) for u in H.nodes.values]
+        lines.append("nodes: " + ", ".join(f"{u:.8g}" for u in H.nodes.values))
     if H.scaling is not None:
-        lines.append(
-            "scaling: " + ", ".join(f"{s:.8g}" for s in H.scaling)
-        )
-    lines += [f"H({ij}) = {e}" for ij, e in entries.items()]
-    print("\n".join(lines))
+        lines.append("scaling: " + ", ".join(f"{s:.8g}" for s in H.scaling))
+    _show(args, payload, lines + [f"H({ij}) = {e}" for ij, e in entries.items()])
     return 0
 
 
 def cmd_cond(args) -> int:
-    plant = get_plant(args.fixture)
-    q, _, _ = _sym_poly(plant)
+    q = get_plant(args.fixture).q
     gains = _parse_list(args.K, float, "numeric") if args.K else np.zeros(q.nvars)
     # huge gains overflow q(K) or H(K): an input error, not a row of nan
     with np.errstate(over="ignore", invalid="ignore"):
@@ -130,11 +123,7 @@ def cmd_cond(args) -> int:
     except HermiteSofError as exc:
         rows.append(("lagrange", f"n/a ({exc})"))
     width = max(len(r[0]) for r in rows)
-    if args.format == "json":
-        print(json.dumps(dict(rows), indent=1))
-    else:
-        for name, val in rows:
-            print(f"{name:<{width}}  {val}")
+    _show(args, dict(rows), [f"{name:<{width}}  {val}" for name, val in rows])
     return 0
 
 
@@ -150,10 +139,7 @@ def _open_out(path):
 def _write_rows(args, out, rows, payload) -> None:
     """Print rows in args.format, `payload` being what json prints, and write
     their CSV to out, the `--out` file that `_open_out` opened, and close it."""
-    if args.format == "json":
-        print(json.dumps(payload, indent=1))
-    else:
-        print((rows_to_csv if args.format == "csv" else rows_to_text)(rows))
+    _show(args, payload, [(rows_to_csv if args.format == "csv" else rows_to_text)(rows)])
     if out:
         try:
             with out:
@@ -170,8 +156,6 @@ def cmd_solve(args) -> int:
     if args.K0:
         cfg.k0 = _parse_list(args.K0, float, "numeric")
     cfg.target = _target_spec(args) or cfg.target
-    if cfg.basis == "lagrange" and cfg.target is None:
-        cfg.target = TargetSpec(mode="mirror-shift", shift=-0.5)
     cfg.lam0 = args.lambda0
     overrides = {
         name: value
@@ -191,27 +175,18 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     plant = get_plant(args.fixture)
-    q, m, p = _sym_poly(plant)
+    m, p = plant.m, plant.p
     gains = _parse_list(args.K, float, "numeric")
     if len(gains) != m * p:
         raise InputError(f"expected {m * p} gains, got {len(gains)}")
     K = np.asarray(gains).reshape((m, p), order="F")
-    poles, stable, margin = verify_solution(q, K)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "poles": [f"{z:.8g}" for z in poles],
-                    "stable": stable,
-                    "margin": f"{margin:.8g}",
-                },
-                indent=1,
-            )
-        )
-    else:
-        for z in poles:
-            print(f"{z.real:.8g}{z.imag:+.8g}j")
-        print(f"stable: {str(stable).lower()}  margin: {margin:.8g}")
+    poles, stable, margin = verify_solution(plant.q, K)
+    _show(
+        args,
+        {"poles": [f"{z:.8g}" for z in poles], "stable": stable, "margin": f"{margin:.8g}"},
+        [f"{z.real:.8g}{z.imag:+.8g}j" for z in poles]
+        + [f"stable: {str(stable).lower()}  margin: {margin:.8g}"],
+    )
     return 0 if stable else 1
 
 

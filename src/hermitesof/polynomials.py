@@ -180,12 +180,14 @@ def gain_support(m: int, p: int) -> np.ndarray:
     return E
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def char_poly(sys) -> CharPoly:
     """Characteristic polynomial det(sI - A - B K C) in the gains of K.
 
     Runs the Faddeev-LeVerrier trace recurrence on float arrays of shape
     (n, n, S) that hold one coefficient per support monomial (see
-    `gain_support`), so q(k) carries no terms outside that support.
+    `gain_support`), so q(k) carries no terms outside that support.  A
+    coefficient that overflows is an input error.
     """
     A = np.asarray(sys.A, dtype=float)
     B = np.asarray(sys.B, dtype=float)
@@ -238,6 +240,8 @@ def char_poly(sys) -> CharPoly:
         coeffs[n - k] = tr * (-1.0 / k) + 0.0
         N = MN
         N[range(n), range(n)] += coeffs[n - k]
+    if not np.isfinite(coeffs).all():
+        raise InputError("q(k) has a non-finite coefficient: A, B and C overflow it")
     return CharPoly(E, coeffs)
 
 

@@ -35,8 +35,8 @@ def roots(q) -> np.ndarray:
     d = poly_degree(q)
     if d < 1:
         raise DegenerateInputError("degree must be at least 1")
-    if abs(c[d]) <= 1e-14 * np.max(np.abs(c)):
-        raise DegenerateInputError("leading coefficient vanishes")
+    if not np.isfinite(c).all():
+        raise DegenerateInputError("non-finite coefficient")
     rts = np.roots(c[d::-1])
     dq = q[1:] * np.arange(1, len(q))
     polished = []
@@ -101,7 +101,8 @@ def nodes_from_target(target: np.ndarray, part: str | None = None) -> NodeSet:
     Only the part whose degree is the target's degree n supplies n nodes:
     the imaginary part for odd n, the real part for even n, which is the
     part taken when `part` is None.  An explicit "im" or "re" is checked
-    and raises NodeCountError when its degree falls short.
+    and raises NodeCountError when its degree falls short.  A part whose
+    coefficients span 1e14 or more is too badly scaled for its nodes.
     """
     n = poly_degree(target)
     if part is None:
@@ -115,5 +116,9 @@ def nodes_from_target(target: np.ndarray, part: str | None = None) -> NodeSet:
         raise NodeCountError(
             f"{part} part has degree {d}, needs {n} roots; "
             "switch the node part or adjust the target"
+        )
+    if abs(sel[d]) <= 1e-14 * np.max(np.abs(sel)):
+        raise DegenerateInputError(
+            f"{part} part's coefficients span 1e14 or more: too badly scaled for nodes"
         )
     return NodeSet.from_values(roots(sel))

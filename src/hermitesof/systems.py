@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import polynomials
 from .errors import InputError
 
 
@@ -52,3 +53,8 @@ class SystemInstance:
     @property
     def mp(self) -> int:
         return self.m * self.p
+
+    @property
+    def q(self) -> polynomials.CharPoly:
+        """q(k) = det(sI - A - B K C), built on each access."""
+        return polynomials.char_poly(self)

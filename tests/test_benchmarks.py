@@ -275,3 +275,11 @@ def test_suites_build_fresh_configs_on_every_call():
 def test_unknown_suite_is_an_input_error():
     with pytest.raises(InputError, match="unknown suite 'table3'"):
         suite("table3")
+
+
+def test_a_lagrange_config_without_a_target_solves_with_the_mirror_target():
+    plant = get_plant("NN1")
+    row = run_single("NN1", plant, ExperimentConfig("lagrange", 1e-4, k0=[0.0, 30.0]))
+    assert not row.status.startswith("error:"), row.status
+    mirror = ExperimentConfig("lagrange", 1e-4, k0=[0.0, 30.0], target=TargetSpec())
+    assert row == run_single("NN1", plant, mirror)

@@ -1,14 +1,16 @@
 """Command-line interface: output content and exit codes."""
 
+import hashlib
 import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from hermitesof.benchmarks import (
-    CSV_HEADER, DATA_DIR_ENV, NN6_ACHIEVABLE_GAIN, ExperimentRow, registry, rows_to_csv,
-    run_experiment, table2_suite,
+    CSV_HEADER, DATA_DIR_ENV, NN6_ACHIEVABLE_GAIN, ExperimentRow, get_plant, registry,
+    rows_to_csv, run_experiment, table2_suite,
 )
 from hermitesof.cli import main
 from hermitesof.stability import roots
@@ -405,3 +407,92 @@ def test_solve_reads_no_instance_file_of_another_system(capsys, monkeypatch, tmp
     # a suite row's instance file is that suite's input
     assert main(["bench", "--suite", "table1"]) == 2
     assert f"error: {tmp_path / 'AC7.json'}: malformed JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["hermite", "--fixture", "{q}", "--basis", "power"], "q(k) has a non-finite coefficient"),
+    (["verify", "--fixture", "{q}", "--K", "1"], "q(k) has a non-finite coefficient"),
+    (["hermite", "--fixture", "{H}", "--basis", "power"],
+     "the power Hermite form has a non-finite coefficient"),
+    (["solve", "--fixture", "{H}", "--basis", "power"],
+     "error: the power Hermite form has a non-finite coefficient"),
+], ids=["hermite-q", "verify-q", "hermite-H", "solve-H"])
+def test_a_plant_whose_q_or_hermite_form_overflows_exits_2(argv, says, capsys, tmp_path):
+    # finite A, B, C: q overflows, then q is finite and H overflows
+    plants = {
+        "q": {"name": "q", "A": [[0, 1e200], [1e200, 0]], "B": [[1], [0]], "C": [[1, 1]]},
+        "H": {"name": "H", "A": [[0, 1e90, 0], [0, 0, 1e90], [-1e90, -1e90, -1e90]],
+              "B": [[0], [0], [1]], "C": [[1, 0, 0], [0, 1, 0]]},
+    }
+    paths = {}
+    for name, plant in plants.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(plant))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out = capsys.readouterr()
+    assert says in out.out + out.err
+    assert "H(" not in out.out and "Traceback" not in out.err
+
+
+def _max_real_root(plant, K):
+    return np.roots(plant.q.at_gains(K)[::-1]).real.max()
+
+
+def _max_real_eig(plant, K):
+    K = np.reshape(K, (plant.m, plant.p), order="F")
+    return np.linalg.eigvals(plant.A + plant.B @ K @ plant.C).real.max()
+
+
+@pytest.mark.parametrize("fixture, gain, oracle", [
+    ("NN6", 1e7, _max_real_root),  # inside NN6's Table-1 box, k_bound = 1e8
+    ("AC4", 1e12, _max_real_root),
+    ("NN1", 1e14, _max_real_eig),
+], ids=["NN6", "AC4", "NN1"])
+def test_verify_takes_large_gains(fixture, gain, oracle, capsys):
+    plant = get_plant(fixture)
+    K = [gain] * (plant.m * plant.p)
+    argv = ["verify", "--fixture", fixture, "--K", ",".join(map(str, K)), "--format", "json"]
+    assert main(argv) == 1
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["stable"] is False
+    assert verdict["margin"] == f"{oracle(plant, K):.8g}"
+
+
+def _fixed_rows(jobs):
+    """Rows of made-up solve results, one per job: the bytes of a real solve
+    follow numpy's SIMD dispatch, and this pins the writer alone."""
+    statuses = ["converged", "max-outer", "error: a, b", "skipped: data not supplied"]
+    return [
+        ExperimentRow(
+            system=name, basis=cfg.basis, mu=cfg.mu, k0=f"[{i} 0]", outer=i, inner=7 * i,
+            linesearch=31 * i, K=f"[{-i / 3:.8g} {i * 1e-9:.8g}]",
+            lam=float("nan") if i % 4 > 1 else -(10.0 ** i) / 3,
+            status=statuses[i % 4], stable=i % 4 == 0,
+        )
+        for i, (name, _, cfg) in enumerate(jobs)
+    ]
+
+
+# SHA-256 over the argv, exit code and stdout of each display command on
+# every embedded fixture and of `bench --suite table1` over `_fixed_rows`
+DISPLAY_DIGEST = "3edb367bbc8dc37343df6806ab1429c63f61e8f935544fe14ca4a3fa6ed06ee6"
+
+
+def test_every_display_command_prints_the_pinned_bytes(capsys, monkeypatch):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    monkeypatch.setattr("hermitesof.cli.run_experiment", _fixed_rows)
+    runs = []
+    for fixture, gains in FIXTURE_GAINS.items():
+        for argv in (
+            ["hermite", "--fixture", fixture, "--basis", "power"],
+            ["hermite", "--fixture", fixture, "--basis", "lagrange", "--target-shift", "-0.5"],
+            ["cond", "--fixture", fixture],
+            ["verify", "--fixture", fixture, "--K=" + ",".join(["0"] * gains)],
+        ):
+            runs += [argv + ["--format", fmt] for fmt in ("text", "json")]
+    runs += [["bench", "--suite", "table1", "--format", fmt] for fmt in ("text", "csv", "json")]
+    digest = hashlib.sha256()
+    for argv in runs:
+        rc = main(argv)
+        digest.update(f"{' '.join(argv)}\n{rc}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == DISPLAY_DIGEST

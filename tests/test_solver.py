@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermitesof import solver
 from hermitesof.benchmarks import (
-    NN6_ACHIEVABLE_GAIN, _sym_poly, hermite_form, registry, run_single, table1_suite,
+    NN6_ACHIEVABLE_GAIN, hermite_form, registry, run_single, table1_suite,
 )
 from hermitesof.errors import BarrierDomainError, InputError
 from hermitesof.hermite import hermite_power, scaled_hermite
@@ -660,7 +660,7 @@ def _suite_program(name, basis):
     """The program and solver settings of a Table-1 row, as run_single builds
     them."""
     (plant, cfg), = [(pl, c) for n, pl, c in table1_suite() if n == name and c.basis == basis]
-    q, m, p = _sym_poly(plant)
+    q, m, p = plant.q, plant.m, plant.p
     prog = SofProgram(hermite_form(q, basis, cfg.target), mu=cfg.mu, m=m, p=p)
     return prog, dataclasses.replace(cfg.solver or SolveConfig(), k0=cfg.k0, lam0=cfg.lam0)
 

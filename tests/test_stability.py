@@ -176,3 +176,12 @@ def test_roots_poly_round_trip(rng):
                     rts.append(cand)
         q = poly_from_roots(rts)
         _match(roots(q), rts, 1e-6)
+
+
+def test_nodes_refuse_a_part_whose_coefficients_span_1e14():
+    # s^2 + 1.1e8 s + 1e15: the real part 1e15 - u^2 spans 1e15
+    target = poly_from_roots([-1e7, -1e8])
+    with pytest.raises(DegenerateInputError, match="re part's coefficients span 1e14"):
+        nodes_from_target(target)
+    # roots itself takes any finite polynomial of degree one or more
+    assert np.allclose(sorted(roots(target).real), [-1e8, -1e7])
