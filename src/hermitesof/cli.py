@@ -37,7 +37,7 @@ from .hermite import (
     power_scale,
     scaled_hermite,
 )
-from .polynomials import optimal_rho
+from .polynomials import optimal_rho, poly_texts
 from .solver import SolveConfig, verify_solution
 from .stability import TargetSpec, nodes_from_target
 
@@ -75,11 +75,9 @@ def cmd_hermite(args) -> int:
         if spec is None:
             raise InputError("lagrange basis needs --roots or --target-shift")
     H = hermite_form(plant.q, args.basis, spec)
-    entries = {
-        f"{i},{j}": str(H.entry(i, j))
-        for i in range(1, H.n + 1)
-        for j in range(i, H.n + 1)
-    }
+    ii, jj = np.triu_indices(H.n)
+    keys = [f"{i + 1},{j + 1}" for i, j in zip(ii.tolist(), jj.tolist())]
+    entries = dict(zip(keys, poly_texts(H.E, H.C[:, ii, jj])))
     payload = {"basis": H.basis, "n": H.n, "entries": entries}
     lines = [f"basis: {H.basis}  n: {H.n}  gains: {H.nvars}"]
     if H.nodes is not None:

@@ -9,6 +9,8 @@ block diagonal and trivially scalable.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
@@ -19,6 +21,7 @@ from .errors import DegenerateInputError, InputError, UnsupportedNodeError
 from .polynomials import CharPoly, MultiPoly, poly_degree, split_re_im
 
 _NODE_TOL = 1e-9
+_BLOCK = 1 << 20  # floats in one block of congruence products
 
 
 def _node_kind(u: complex) -> str:
@@ -164,6 +167,64 @@ def _terms(q) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((1, 0), dtype=np.int64), np.asarray(q)[:, None]
 
 
+@dataclass(frozen=True)
+class _PowerPlan:
+    """The index tables of `hermite_power` for one n and one list of q's
+    monomials, all read-only.
+
+    q(j*u) = b(u) + j*a(u) puts the odd powers of q in a and the even ones
+    in b, so entry (i, j) of the upper triangle is zero unless i + j is even,
+    and then each of its steps t takes one product: a_{j+1+t} b_{i-t} when
+    i - t is even, else -a_{i-t} b_{j+1+t}.  Step k of the flat list scales
+    a's row ra[k] by sign[k] against b's row rb[k]; the products of every
+    monomial pair (t1, t2), t1-major, go to bin base[k] + pair[t1, t2] of a
+    (step, entry, monomial) grid, entries in `_upper` order.  E holds the
+    pair monomials in graded order.
+    """
+
+    E: np.ndarray
+    ra: np.ndarray
+    rb: np.ndarray
+    sign: np.ndarray
+    base: np.ndarray
+    pair: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (i, j), i <= j, of an n x n matrix in row order, as two
+    read-only index arrays (np.triu_indices(n), which costs more)."""
+    ii = np.repeat(np.arange(n), np.arange(n, 0, -1))
+    jj = np.concatenate([np.arange(i, n) for i in range(n)])
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
+
+
+@functools.lru_cache(maxsize=16)
+def _power_plan(n: int, shape: tuple[int, int], monos: bytes) -> _PowerPlan:
+    Eq = np.frombuffer(monos, dtype=np.int64).reshape(shape)
+    nv = shape[1]
+    pairs = (Eq[:, None] + Eq[None, :]).reshape(len(Eq) ** 2, nv)
+    keys = sorted(set(map(tuple, pairs.tolist())), key=lambda m: (sum(m), m))
+    E = np.array(keys, dtype=np.int64).reshape(len(keys), nv)
+    index = {m: t for t, m in enumerate(keys)}
+    pair = np.array([index[m] for m in map(tuple, pairs.tolist())], dtype=np.intp)
+    ii, jj = _upper(n)
+    ra, rb, sign, base = [], [], [], []
+    for e, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+        for t in range(min(i, n - 1 - j) + 1 if (i + j) % 2 == 0 else 0):
+            even = (i - t) % 2 == 0
+            ra.append(j + 1 + t if even else i - t)
+            rb.append(i - t if even else j + 1 + t)
+            sign.append(1.0 if even else -1.0)
+            base.append((t * len(ii) + e) * len(E))
+    plan = _PowerPlan(E, np.array(ra, dtype=np.intp), np.array(rb, dtype=np.intp),
+                      np.array(sign), np.array(base, dtype=np.intp), pair)
+    for a in vars(plan).values():
+        a.flags.writeable = False
+    return plan
+
+
 def hermite_power(q) -> HermiteForm:
     """Hermite matrix of q (a CharPoly or a real coefficient array) in
     the power basis: the Bezoutian of the imaginary part a and the real
@@ -175,42 +236,34 @@ def hermite_power(q) -> HermiteForm:
     each product sums its monomial pairs first-factor-major, with q's
     monomials in the order they first occur scanning the powers of s
     upward.  The order fixes the rounding, and the solver's outcomes
-    follow the last ulp.
+    follow the last ulp.  The index tables come from a plan cached per n
+    and monomial list; a product that is zero because a or b lacks the
+    power (see `_PowerPlan`) adds nothing to a finite q's sums and is
+    skipped.
     """
     Es, Q = _terms(q)
     n = poly_degree(Q)
     if n < 1:
         raise DegenerateInputError("degree must be at least 1")
-    nv = Es.shape[1]
     order = list(dict.fromkeys(np.nonzero(Q[: n + 1])[1].tolist()))
+    Eq = np.ascontiguousarray(Es[order], dtype=np.int64)
+    plan = _power_plan(n, Eq.shape, Eq.tobytes())
     a, b = split_re_im(Q[: n + 1, order])
 
-    # the monomial of every pair (t1, t2), t1-major, as a row of E
-    Eq = Es[order]
-    pairs = (Eq[:, None] + Eq[None, :]).reshape(len(Eq) ** 2, nv)
-    keys = sorted(set(map(tuple, pairs.tolist())), key=lambda m: (sum(m), m))
-    E = np.array(keys, dtype=np.int64).reshape(len(keys), nv)
-    index = {m: t for t, m in enumerate(map(tuple, E.tolist()))}
-    pidx = np.array([index[m] for m in map(tuple, pairs.tolist())], dtype=np.intp)
-
-    def product(x, y):
-        # per row: sum over monomial pairs of x[t1] * y[t2]
-        out = np.zeros((len(x), len(E)))
-        prods = (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
-        np.add.at(out, (np.arange(len(x))[:, None], pidx), prods)
-        return out
-
-    ii, jj = np.triu_indices(n)
-    acc = np.zeros((len(ii), len(E)))
-    for t in range((n + 1) // 2):
-        sel = np.flatnonzero(t <= np.minimum(ii, n - 1 - jj))
-        i, j = ii[sel], jj[sel]
-        acc[sel] = acc[sel] + product(a[j + 1 + t], b[i - t]) - product(a[i - t], b[j + 1 + t])
-    C = np.zeros((len(E), n, n))
-    C[:, ii, jj] = acc.T
-    C[:, jj, ii] = acc.T
+    # bincount adds each bin's weights in list order, starting from 0.0
+    x, y = a[plan.ra] * plan.sign[:, None], b[plan.rb]
+    prods = x[:, :, None] * y[:, None, :]
+    ii, jj = _upper(n)
+    shape = ((n + 1) // 2, len(ii), len(plan.E))
+    bins = np.bincount((plan.base[:, None] + plan.pair).ravel(), prods.ravel(),
+                       minlength=math.prod(shape))
+    # the steps of each entry, added in order
+    acc = np.add.reduce(bins.reshape(shape), axis=0)
     keep = acc.any(axis=0)
-    return HermiteForm(basis="power", E=E[keep], C=C[keep])
+    C = np.zeros((int(keep.sum()), n, n))
+    C[:, ii, jj] = acc[:, keep].T
+    C[:, jj, ii] = acc[:, keep].T
+    return HermiteForm(basis="power", E=plan.E[keep], C=C)
 
 
 # -- Lagrange basis ------------------------------------------------------
@@ -228,22 +281,28 @@ def _node_weights(nodes: NodeSet, n: int, conjugate: bool) -> np.ndarray:
     return W
 
 
-def hermite_lagrange(q, nodes: NodeSet) -> HermiteForm:
-    """Hermite matrix of q in the Lagrange basis over the given nodes: the
-    node-weight congruence W* H^P W of the power form, where column j of W
-    is the r_j-th normalized derivative of (1, u, ..., u^(n-1)) at node u_j
-    and r_j counts the earlier copies of a repeated node (W is the
-    Vandermonde matrix V for distinct nodes).
+def _congruence_weights(nodes: NodeSet) -> tuple[np.ndarray, np.ndarray | None]:
+    """(Wr, Wi): the real and imaginary parts of
+    W[p*n + r, e] = Wrow[p, i] * Wcol[r, j] over the upper-triangle entries
+    e = (i, j), i <= j, in row order, with Wrow and Wcol the conjugated and
+    plain node weights.  W is multiplied out in real arithmetic so that no
+    fused multiply-add changes its rounding.  Wi is None when W is real, as
+    it is for real nodes."""
+    n = len(nodes)
+    Wrow = _node_weights(nodes, n, conjugate=True)
+    Wcol = _node_weights(nodes, n, conjugate=False)
+    iu, ju = _upper(n)
+    ar, ai = Wrow.real[:, None, iu], Wrow.imag[:, None, iu]
+    br, bi = Wcol.real[None, :, ju], Wcol.imag[None, :, ju]
+    Wr = (ar * br - ai * bi).reshape(n * n, len(iu))
+    Wi = (ar * bi + ai * br).reshape(n * n, len(iu))
+    return Wr, (Wi if Wi.any() else None)
 
-    Nodes must be real or purely imaginary conjugate pairs.  The product is
-    taken in complex arithmetic; an imaginary part above a threshold raises
-    DegenerateInputError, and the real part is returned as a real symmetric
-    form.  That is W* H^P W itself when the nodes are all real or all
-    imaginary.  With both kinds, the entries coupling them have a genuine
-    imaginary part that the threshold, scaled by max|u|^(2(n-1)), can let
-    pass: the result is then Re(V* H^P V), whose positive definiteness is
-    necessary for that of V* H^P V but not sufficient.
-    """
+
+def _lagrange(q, nodes: NodeSet, weights=None) -> tuple[HermiteForm, tuple]:
+    """`hermite_lagrange`, with the node weights of `_congruence_weights`
+    taken as given or built after the input checks; returns the form and
+    the weights."""
     _, Q = _terms(q)
     n = poly_degree(Q)
     if len(nodes) != n:
@@ -254,36 +313,67 @@ def hermite_lagrange(q, nodes: NodeSet) -> HermiteForm:
         )
 
     HP = hermite_power(q)
-    Wrow = _node_weights(nodes, n, conjugate=True)
-    Wcol = _node_weights(nodes, n, conjugate=False)
-    # W[p, r, i, j] = Wrow[p, i] * Wcol[r, j], multiplied out in real
-    # arithmetic so that no fused multiply-add changes its rounding
-    ar, ai = Wrow.real[:, None, :, None], Wrow.imag[:, None, :, None]
-    br, bi = Wcol.real[None, :, None, :], Wcol.imag[None, :, None, :]
-    W = np.empty((n, n, n, n), dtype=complex)
-    W.real = ar * br - ai * bi
-    W.imag = ar * bi + ai * br
+    Wr, Wi = weights = weights or _congruence_weights(nodes)
+    # C_L[t] = Wrow^T C_P[t] Wcol on the upper triangle, its real and
+    # imaginary parts summed apart from 0.0, p-major, r-minor: the order
+    # fixes the rounding, and the solver's outcomes follow the last ulp.  A
+    # (p, r) that is zero for every monomial (half of them: the power form
+    # is a checkerboard) adds only zeros for finite weights and is skipped.
+    CP = HP.C.reshape(len(HP.C), n * n)
+    live = np.flatnonzero(CP.any(axis=0))
+    CPl = CP[:, live].T[:, :, None]
 
-    # C_L[t] = Wrow^T C_P[t] Wcol, accumulated p-major, r-minor: the order
-    # fixes the rounding, and the solver's outcomes follow the last ulp
-    CL = np.zeros((len(HP.E), n, n), dtype=complex)
-    for p in range(n):
-        for r in range(n):
-            CL += HP.C[:, p, r, None, None] * W[p, r]
-    scale = float(np.abs(HP.C).max(initial=0.0))
-    node_mag = max((abs(u) for u in nodes.values), default=0.0)
-    chop = 1e-10 * max(1.0, scale) * max(1.0, node_mag) ** (2 * (n - 1))
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    bad = np.argwhere(((np.abs(CL.imag) > chop) & upper).transpose(1, 2, 0))
-    if bad.size:
-        i, j, t = bad[0]
-        raise DegenerateInputError(
-            f"coefficient {CL[t, i, j]} of monomial {tuple(HP.E[t].tolist())} "
-            "has non-negligible imaginary part"
-        )
-    CL = np.where(upper, CL.real, CL.real.transpose(0, 2, 1))
-    keep = CL.reshape(len(CL), n * n).any(axis=1)
-    return HermiteForm(basis="lagrange", E=HP.E[keep], C=CL[keep], nodes=nodes)
+    def congruence(W):
+        W = W[live, None, :]
+        out = np.zeros((len(CP), W.shape[2]))
+        rows = max(1, _BLOCK // max(1, W.size))  # monomials per block
+        for s in range(0, len(CP), rows):
+            # C order keeps (p, r) outermost: the reduction adds whole
+            # blocks one after another
+            prods = np.multiply(CPl[:, s : s + rows], W, order="C")
+            np.add.reduce(prods, axis=0, initial=0.0, out=out[s : s + rows])
+        return out
+
+    re = congruence(Wr)
+    im = None if Wi is None else congruence(Wi)
+    iu, ju = _upper(n)
+    if im is not None:
+        scale = float(np.abs(HP.C).max(initial=0.0))
+        node_mag = max((abs(u) for u in nodes.values), default=0.0)
+        chop = 1e-10 * max(1.0, scale) * max(1.0, node_mag) ** (2 * (n - 1))
+        bad = np.argwhere(np.abs(im.T) > chop)  # (i, j, t) order
+        if bad.size:
+            e, t = bad[0]
+            raise DegenerateInputError(
+                f"coefficient {np.complex128(complex(re[t, e], im[t, e]))} of monomial "
+                f"{tuple(HP.E[t].tolist())} has non-negligible imaginary part"
+            )
+    keep = re.any(axis=1)
+    C = np.empty((int(keep.sum()), n, n))
+    C[:, iu, ju] = re[keep]
+    C[:, ju, iu] = re[keep]
+    return HermiteForm(basis="lagrange", E=HP.E[keep], C=C, nodes=nodes), weights
+
+
+def hermite_lagrange(q, nodes: NodeSet) -> HermiteForm:
+    """Hermite matrix of q in the Lagrange basis over the given nodes: the
+    node-weight congruence W* H^P W of the power form, where column j of W
+    is the r_j-th normalized derivative of (1, u, ..., u^(n-1)) at node u_j
+    and r_j counts the earlier copies of a repeated node (W is the
+    Vandermonde matrix V for distinct nodes).
+
+    Nodes must be real or purely imaginary conjugate pairs.  The product's
+    real and imaginary parts are summed apart, the imaginary part only
+    when W has one (imaginary nodes); an imaginary part above a threshold
+    raises DegenerateInputError, and the real part is returned as a real
+    symmetric form.  That is W* H^P W itself when the nodes are all real or
+    all imaginary.  With both kinds, the entries coupling them have a
+    genuine imaginary part that the threshold, scaled by
+    max|u|^(2(n-1)), can let pass: the result is then Re(V* H^P V), whose
+    positive definiteness is necessary for that of V* H^P V but not
+    sufficient.
+    """
+    return _lagrange(q, nodes)[0]
 
 
 # -- scaling ---------------------------------------------------------------
@@ -316,8 +406,9 @@ def scaled_hermite(
         from .stability import nodes_from_target
 
         nodes = nodes_from_target(target, part=part)
-    S = scaling_from_numeric(hermite_lagrange(target, nodes).eval_at(), nodes)
-    HL = hermite_lagrange(q, nodes)
+    HT, weights = _lagrange(target, nodes)
+    S = scaling_from_numeric(HT.eval_at(), nodes)
+    HL, _ = _lagrange(q, nodes, weights)
     return HermiteForm(
         basis="scaled-lagrange", E=HL.E, C=HL.C * np.outer(S, S), nodes=nodes, scaling=S
     )

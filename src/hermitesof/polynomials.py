@@ -10,6 +10,7 @@ display and tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -25,6 +26,43 @@ def _grlex_key(mono: Exponents):
     return (sum(mono), tuple(-e for e in mono))
 
 
+def _monomial_name(mono: Exponents) -> str:
+    return "*".join(f"k{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(mono) if e > 0)
+
+
+def _poly_text(terms) -> str:
+    """Display text of a polynomial in the gains from its (monomial name,
+    coefficient) pairs, nonzero coefficients in display order."""
+    out = ""
+    for name, coeff in terms:
+        if not name:
+            piece = f"{coeff:.8g}"
+        elif coeff == 1:
+            piece = name
+        elif coeff == -1:
+            piece = f"-{name}"
+        else:
+            piece = f"{coeff:.8g}*{name}"
+        if not out:
+            out = piece
+        elif piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out or "0"
+
+
+def poly_texts(E: np.ndarray, coeffs: np.ndarray) -> list[str]:
+    """Display text of the polynomials sum_t coeffs[t, c] * k**E[t], one per
+    column c, each as `MultiPoly` prints it; the monomials (distinct rows
+    of E) are ordered and named once for all columns."""
+    monos = E.tolist()
+    order = sorted(range(len(monos)), key=lambda t: _grlex_key(monos[t]))
+    names = [_monomial_name(monos[t]) for t in order]
+    return [_poly_text((name, c) for name, c in zip(names, col) if c != 0)
+            for col in np.asarray(coeffs)[order].T.tolist()]
+
+
 class MultiPoly:
     """Sparse polynomial in the gain variables k_1..k_nvars, for display:
     a map from exponent tuples to coefficients without zero terms."""
@@ -36,33 +74,8 @@ class MultiPoly:
         self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono in sorted(self.terms, key=_grlex_key):
-            coeff = self.terms[mono]
-            vars_part = "*".join(
-                f"k{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mono)
-                if e > 0
-            )
-            if vars_part:
-                if coeff == 1:
-                    mag = vars_part
-                elif coeff == -1:
-                    mag = f"-{vars_part}"
-                else:
-                    mag = f"{coeff:.8g}*{vars_part}"
-            else:
-                mag = f"{coeff:.8g}"
-            pieces.append(mag)
-        out = pieces[0]
-        for p in pieces[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return _poly_text((_monomial_name(m), self.terms[m])
+                          for m in sorted(self.terms, key=_grlex_key))
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
@@ -159,6 +172,48 @@ def optimal_rho(c) -> float:
 # -- characteristic polynomial ------------------------------------------
 
 
+@dataclass(frozen=True)
+class _CharPolyPlan:
+    """The index tables of `char_poly` for one (m, p), all read-only.
+
+    E holds the `gain_support` rows.  Row s of degree d sums d + 1
+    products, l = 0..d: M's term t[l, s] times N's slot src[l, s], first
+    the constant term times slot s, then one per gain of s, in M's term
+    order, times the slot with that gain removed.  For l > d the product
+    is the constant term times slot S, an extra slot of N that holds zeros.
+    """
+
+    E: np.ndarray
+    t: np.ndarray
+    src: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _char_poly_plan(m: int, p: int) -> _CharPolyPlan:
+    gains = [(a, b) for a in range(m) for b in range(p)]
+    sets = [()]
+    for d in range(1, min(m, p) + 1):
+        sets += [c for c in itertools.combinations(gains, d)
+                 if len({a for a, _ in c}) == len({b for _, b in c}) == d]
+    E = np.zeros((len(sets), m * p), dtype=np.int64)
+    for row, combo in zip(E, sets):
+        row[[b * m + a for a, b in combo]] = 1
+    index = {combo: s for s, combo in enumerate(sets)}
+    S, L = len(sets), min(m, p) + 1
+    t = np.zeros((L, S + 1), dtype=np.intp)
+    src = np.full((L, S + 1), S, dtype=np.intp)
+    src[0, :S] = range(S)
+    for s, combo in enumerate(sets):
+        # a combination lists its gains in M's term order: gain (a, b) is
+        # term 1 + a*p + b
+        for l, (a, b) in enumerate(combo, start=1):
+            t[l, s] = 1 + a * p + b
+            src[l, s] = index[combo[: l - 1] + combo[l:]]
+    for arr in (E, t, src):
+        arr.flags.writeable = False
+    return _CharPolyPlan(E, t, src)
+
+
 def gain_support(m: int, p: int) -> np.ndarray:
     """Exponent rows of the monomials det(sI - A - B K C) can contain.
 
@@ -169,15 +224,7 @@ def gain_support(m: int, p: int) -> np.ndarray:
     degree, then in combination order over the gains taken row a outer,
     column b inner, the constant first.
     """
-    gains = [(a, b) for a in range(m) for b in range(p)]
-    sets = [()]
-    for d in range(1, min(m, p) + 1):
-        sets += [c for c in itertools.combinations(gains, d)
-                 if len({a for a, _ in c}) == len({b for _, b in c}) == d]
-    E = np.zeros((len(sets), m * p), dtype=np.int64)
-    for row, combo in zip(E, sets):
-        row[[b * m + a for a, b in combo]] = 1
-    return E
+    return _char_poly_plan(m, p).E.copy()
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -186,8 +233,9 @@ def char_poly(sys) -> CharPoly:
 
     Runs the Faddeev-LeVerrier trace recurrence on float arrays of shape
     (n, n, S) that hold one coefficient per support monomial (see
-    `gain_support`), so q(k) carries no terms outside that support.  A
-    coefficient that overflows is an input error.
+    `gain_support`), so q(k) carries no terms outside that support.  The
+    index tables come from a plan cached per (m, p).  A coefficient that
+    overflows is an input error.
     """
     A = np.asarray(sys.A, dtype=float)
     B = np.asarray(sys.B, dtype=float)
@@ -200,49 +248,38 @@ def char_poly(sys) -> CharPoly:
     if C.ndim != 2 or C.shape[1] != n:
         raise InputError("C must be p-by-n")
     m, p = B.shape[1], C.shape[0]
-    nv = m * p
-    E = gain_support(m, p)
-    index = {e: s for s, e in enumerate(map(tuple, E.tolist()))}
+    plan = _char_poly_plan(m, p)
+    S = len(plan.E)
 
-    # M = A + B K C: the constant, then gain (a, b) at support row
-    # 1 + a*p + b.  Multiplying by M, each term of M maps the support rows
-    # that contain its gain to those rows with the gain removed.  Every
-    # product sums its terms per monomial in this order, and the kk and
-    # trace sums run in index order: the order fixes the rounding, and the
-    # solver's outcomes follow the last ulp.
-    M = np.zeros((n, n, len(E)))
-    M[:, :, 0] = A
-    M[:, :, 1 : nv + 1] = (B[:, None, :, None] * C.T[None, :, None, :]).reshape(n, n, nv)
-    terms = [(0, slice(None), slice(None))]
-    for t in range(1, nv + 1):
-        tgt = np.flatnonzero(E[:, E[t].argmax()])
-        src = [index[tuple(e)] for e in (E[tgt] - E[t]).tolist()]
-        terms.append((t, tgt, np.array(src, dtype=np.intp)))
+    # M = A + B K C: the constant, then gain (a, b) as term 1 + a*p + b,
+    # each taken transposed, (kk, i), against N's rows kk.  Every slot of
+    # a product sums its terms in term order, and the kk and trace sums run
+    # in index order (axis-0 reductions add row after row): the order fixes
+    # the rounding, and the solver's outcomes follow the last ulp.
+    M = np.concatenate([A.T[:, :, None], (C.T[:, None, None, :] * B[None, :, :, None])
+                        .reshape(n, n, m * p)], axis=2)
+    Mt = M[:, :, plan.t].transpose(2, 0, 1, 3)[:, :, :, None]  # (l, kk, i, 1, slot)
 
     # c_n = 1, c_{n-k} = -tr(M N_k)/k, N_{k+1} = M N_k + c_{n-k} I, N_1 = I
-    coeffs = np.zeros((n + 1, len(E)))
+    coeffs = np.zeros((n + 1, S))
     coeffs[n, 0] = 1.0
-    N = np.zeros((n, n, len(E)))
-    N[range(n), range(n), 0] = 1.0
+    N = np.zeros((n, n, S + 1))
+    N.reshape(n * n, S + 1)[:: n + 1, 0] = 1.0
     for k in range(1, n + 1):
         # P[kk] = M[:, kk] * N[kk], the (i, j) products for one kk
-        P = np.zeros((n, n, n, len(E)))
-        for t, tgt, src in terms:
-            P[:, :, :, tgt] += M[:, :, t].T[:, :, None, None] * N[:, None, :, src]
-        MN = P[0]
-        for kk in range(1, n):
-            MN = MN + P[kk]
-        tr = MN[0, 0]
-        for i in range(1, n):
-            tr = tr + MN[i, i]
+        # C order puts l, then kk, outermost, so that each reduction adds
+        # whole blocks one after another
+        prods = np.multiply(Mt, N[:, :, plan.src].transpose(2, 0, 1, 3)[:, :, None], order="C")
+        P = np.add.reduce(prods, axis=0)
+        N = np.add.reduce(P, axis=0)  # M N_k
+        diag = N.reshape(n * n, S + 1)[:: n + 1, :S]
         # + 0.0 turns the -0.0 of an exact-zero coefficient into 0.0; the
         # product, not -tr / k, fixes the rounding
-        coeffs[n - k] = tr * (-1.0 / k) + 0.0
-        N = MN
-        N[range(n), range(n)] += coeffs[n - k]
+        coeffs[n - k] = np.add.reduce(diag, axis=0) * (-1.0 / k) + 0.0
+        diag += coeffs[n - k]
     if not np.isfinite(coeffs).all():
         raise InputError("q(k) has a non-finite coefficient: A, B and C overflow it")
-    return CharPoly(E, coeffs)
+    return CharPoly(plan.E.copy(), coeffs)
 
 
 def vec_gain(K) -> list[float]:

@@ -1,12 +1,24 @@
+import itertools
 import json
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hermitesof.errors import DegenerateInputError
-from hermitesof.hermite import HermiteForm, NodeSet, hermite_lagrange, hermite_power
-from hermitesof.polynomials import poly_degree, poly_from_roots
+from hermitesof.errors import (
+    DegenerateInputError,
+    InputError,
+    UnsupportedNodeError,
+)
+from hermitesof.hermite import (
+    HermiteForm,
+    NodeSet,
+    hermite_lagrange,
+    hermite_power,
+    scaling_from_numeric,
+)
+from hermitesof.polynomials import CharPoly, poly_degree, poly_from_roots
 from hermitesof.stability import roots
 
 
@@ -270,6 +282,132 @@ def symbolic_bezoutian(q):
             entries[i][j] = acc
             entries[j][i] = acc
     return pack_entries("power", entries, q.nvars)
+
+
+# -- the construction code the package replaced -------------------------------
+#
+# `char_poly` and the Lagrange congruence as they were before their index
+# tables became plans cached per shape and the congruence was split into
+# real and imaginary sums; the package must match them byte for byte.
+
+
+def reference_gain_support(m: int, p: int) -> np.ndarray:
+    gains = [(a, b) for a in range(m) for b in range(p)]
+    sets = [()]
+    for d in range(1, min(m, p) + 1):
+        sets += [c for c in itertools.combinations(gains, d)
+                 if len({a for a, _ in c}) == len({b for _, b in c}) == d]
+    E = np.zeros((len(sets), m * p), dtype=np.int64)
+    for row, combo in zip(E, sets):
+        row[[b * m + a for a, b in combo]] = 1
+    return E
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_char_poly(sys) -> CharPoly:
+    A = np.asarray(sys.A, dtype=float)
+    B = np.asarray(sys.B, dtype=float)
+    C = np.asarray(sys.C, dtype=float)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise InputError("A must be square")
+    if B.ndim != 2 or B.shape[0] != n:
+        raise InputError("B must be n-by-m")
+    if C.ndim != 2 or C.shape[1] != n:
+        raise InputError("C must be p-by-n")
+    m, p = B.shape[1], C.shape[0]
+    nv = m * p
+    E = reference_gain_support(m, p)
+    index = {e: s for s, e in enumerate(map(tuple, E.tolist()))}
+
+    M = np.zeros((n, n, len(E)))
+    M[:, :, 0] = A
+    M[:, :, 1 : nv + 1] = (B[:, None, :, None] * C.T[None, :, None, :]).reshape(n, n, nv)
+    terms = [(0, slice(None), slice(None))]
+    for t in range(1, nv + 1):
+        tgt = np.flatnonzero(E[:, E[t].argmax()])
+        src = [index[tuple(e)] for e in (E[tgt] - E[t]).tolist()]
+        terms.append((t, tgt, np.array(src, dtype=np.intp)))
+
+    coeffs = np.zeros((n + 1, len(E)))
+    coeffs[n, 0] = 1.0
+    N = np.zeros((n, n, len(E)))
+    N[range(n), range(n), 0] = 1.0
+    for k in range(1, n + 1):
+        P = np.zeros((n, n, n, len(E)))
+        for t, tgt, src in terms:
+            P[:, :, :, tgt] += M[:, :, t].T[:, :, None, None] * N[:, None, :, src]
+        MN = P[0]
+        for kk in range(1, n):
+            MN = MN + P[kk]
+        tr = MN[0, 0]
+        for i in range(1, n):
+            tr = tr + MN[i, i]
+        coeffs[n - k] = tr * (-1.0 / k) + 0.0
+        N = MN
+        N[range(n), range(n)] += coeffs[n - k]
+    if not np.isfinite(coeffs).all():
+        raise InputError("q(k) has a non-finite coefficient: A, B and C overflow it")
+    return CharPoly(E, coeffs)
+
+
+def _reference_node_weights(nodes: NodeSet, n: int, conjugate: bool) -> np.ndarray:
+    W = np.zeros((n, len(nodes)), dtype=complex)
+    for j, (u, r) in enumerate(zip(nodes.values, nodes.rep_index)):
+        uu = u.conjugate() if conjugate else u
+        for p in range(n):
+            if p >= r:
+                W[p, j] = comb(p, r) * uu ** (p - r)
+    return W
+
+
+def reference_hermite_lagrange(q, nodes: NodeSet) -> HermiteForm:
+    """The Lagrange form in complex arithmetic over the full n x n
+    product, from the package's power form (see symbolic_bezoutian)."""
+    Q = q.Q if isinstance(q, CharPoly) else np.asarray(q)[:, None]
+    n = poly_degree(Q)
+    if len(nodes) != n:
+        raise InputError(f"need {n} nodes, got {len(nodes)}")
+    if any(k == "complex" for k in nodes.kinds):
+        raise UnsupportedNodeError(
+            "general complex nodes are not allowed in the real symmetric form"
+        )
+
+    HP = hermite_power(q)
+    Wrow = _reference_node_weights(nodes, n, conjugate=True)
+    Wcol = _reference_node_weights(nodes, n, conjugate=False)
+    ar, ai = Wrow.real[:, None, :, None], Wrow.imag[:, None, :, None]
+    br, bi = Wcol.real[None, :, None, :], Wcol.imag[None, :, None, :]
+    W = np.empty((n, n, n, n), dtype=complex)
+    W.real = ar * br - ai * bi
+    W.imag = ar * bi + ai * br
+
+    CL = np.zeros((len(HP.E), n, n), dtype=complex)
+    for p in range(n):
+        for r in range(n):
+            CL += HP.C[:, p, r, None, None] * W[p, r]
+    scale = float(np.abs(HP.C).max(initial=0.0))
+    node_mag = max((abs(u) for u in nodes.values), default=0.0)
+    chop = 1e-10 * max(1.0, scale) * max(1.0, node_mag) ** (2 * (n - 1))
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    bad = np.argwhere(((np.abs(CL.imag) > chop) & upper).transpose(1, 2, 0))
+    if bad.size:
+        i, j, t = bad[0]
+        raise DegenerateInputError(
+            f"coefficient {CL[t, i, j]} of monomial {tuple(HP.E[t].tolist())} "
+            "has non-negligible imaginary part"
+        )
+    CL = np.where(upper, CL.real, CL.real.transpose(0, 2, 1))
+    keep = CL.reshape(len(CL), n * n).any(axis=1)
+    return HermiteForm(basis="lagrange", E=HP.E[keep], C=CL[keep], nodes=nodes)
+
+
+def reference_scaled_hermite(q, target, nodes: NodeSet) -> HermiteForm:
+    S = scaling_from_numeric(reference_hermite_lagrange(target, nodes).eval_at(), nodes)
+    HL = reference_hermite_lagrange(q, nodes)
+    return HermiteForm(
+        basis="scaled-lagrange", E=HL.E, C=HL.C * np.outer(S, S), nodes=nodes, scaling=S
+    )
 
 
 # -- instance files -----------------------------------------------------------

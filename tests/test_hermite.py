@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermitesof.benchmarks import NN6_ACHIEVABLE_GAIN, NN6_ACHIEVABLE_NODES, registry
 from hermitesof.errors import DegenerateInputError, InputError, UnsupportedNodeError
+from hermitesof import hermite, polynomials
 from hermitesof.hermite import (
     NodeSet,
     cond_frobenius,
@@ -22,6 +23,7 @@ from hermitesof.polynomials import (
     char_poly,
     gain_support,
     poly_from_roots,
+    poly_texts,
     split_re_im,
 )
 from hermitesof.stability import TargetSpec, build_target, nodes_from_target, roots
@@ -31,6 +33,9 @@ from conftest import (
     congruence_check,
     random_numeric_poly,
     random_stable_poly,
+    reference_char_poly,
+    reference_hermite_lagrange,
+    reference_scaled_hermite,
     relerr,
     symbolic_bezoutian,
 )
@@ -77,22 +82,39 @@ def test_bezoutian_rejects_degenerate_input():
         hermite_power(z)
 
 
-def test_hermite_power_equals_symbolic_bezoutian():
-    # bit for bit, including the monomial order of the tensor
-    qs = [char_poly(NN1)]
-    qs += [REG["polys"][f].q for f in ("AC4", "NN6", "AC4_openloop", "NN5_openloop")]
-    for seed, shape in enumerate([(4, 1, 2), (4, 2, 1), (5, 1, 3), (6, 2, 1), (4, 2, 2)]):
-        qs.append(char_poly(_planted_plant(seed, *shape)))
-    # a q on the 2x2-gain support whose s^0 row lacks 1 and k1, so its
-    # monomials first occur in another order than the support's
+# planted shapes whose q(k) and forms are checked against the references
+ORACLE_SHAPES = [(4, 1, 2), (4, 2, 1), (5, 1, 3), (6, 2, 1), (4, 2, 2), (10, 3, 3)]
+
+
+def _out_of_order_q():
+    """A q on the 2x2-gain support whose s^0 row lacks 1 and k1, so its
+    monomials first occur in another order than the support's."""
     Q = np.random.default_rng(5).standard_normal((5, 7))
     Q[0, :2] = 0.0
     Q[4] = np.eye(7)[0]
-    qs.append(CharPoly(gain_support(2, 2), Q))
-    for q in qs:
-        H, ref = hermite_power(q), symbolic_bezoutian(q)
-        assert np.array_equal(H.E, ref.E)
-        assert H.C.dtype == ref.C.dtype and H.C.tobytes() == ref.C.tobytes()
+    return CharPoly(gain_support(2, 2), Q)
+
+
+def _oracle_qs():
+    qs = [char_poly(NN1)]
+    qs += [REG["polys"][f].q for f in ("AC4", "NN6", "AC4_openloop", "NN5_openloop")]
+    qs += [char_poly(_planted_plant(seed, *shape)) for seed, shape in enumerate(ORACLE_SHAPES)]
+    return qs + [_out_of_order_q()]
+
+
+def _assert_same_bytes(got, ref):
+    for name in ("E", "C", "scaling"):
+        a, b = getattr(got, name, None), getattr(ref, name, None)
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_hermite_power_equals_symbolic_bezoutian():
+    # bit for bit, including the monomial order of the tensor
+    for q in _oracle_qs():
+        _assert_same_bytes(hermite_power(q), symbolic_bezoutian(q))
 
 
 AC4_HP = np.array(
@@ -517,3 +539,110 @@ def test_hermite_pd_iff_closed_loop_hurwitz(n, m, p, seed):
             continue
         w = np.linalg.eigvalsh(H.eval_at(K.flatten(order="F")))
         assert (w.min() > 0) == (margin < 0), (K, margin, w)
+
+
+# -- per-shape plans against the references --------------------------------
+
+MIRROR = TargetSpec(mode="mirror-shift", shift=-0.5)
+
+
+def _outcome(build, *args):
+    """The form `build` returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except (DegenerateInputError, InputError, UnsupportedNodeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _lagrange_cases():
+    """(q, target, nodes): the mirror target's nodes for every oracle q;
+    for every q of degree 4, the nodes of two repeated-root targets, of
+    imaginary conjugate pairs (the imaginary sums) and of a mix of real
+    and imaginary nodes (which may raise)."""
+    cases = []
+    for q in _oracle_qs():
+        c = q.Q[:, 0] if q.nvars == 0 else q.at_gains(np.zeros(q.nvars))
+        mirror = build_target(roots(c), MIRROR)
+        cases.append((q, mirror, nodes_from_target(mirror)))
+        if q.n != 4:
+            continue
+        for rts in ([-1, -1, -2, -3], [-1, -1, -1, -1]):
+            target = poly_from_roots(rts)
+            cases.append((q, target, nodes_from_target(target)))
+        for vals in ([1j, -1j, 2.5j, -2.5j], [0.5j, -0.5j, -1.0, 2.0]):
+            cases.append((q, mirror, NodeSet.from_values(vals)))
+    return cases
+
+
+def test_char_poly_matches_the_reference_byte_for_byte():
+    for seed, shape in enumerate(ORACLE_SHAPES):
+        plant = _planted_plant(seed, *shape)
+        q, ref = char_poly(plant), reference_char_poly(plant)
+        for got, want in ((q.E, ref.E), (q.Q, ref.Q)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert char_poly(NN1).Q.tobytes() == reference_char_poly(NN1).Q.tobytes()
+
+
+def test_lagrange_and_scaled_forms_match_the_reference_byte_for_byte():
+    kinds = set()
+    for q, target, nodes in _lagrange_cases():
+        for build, ref in ((hermite_lagrange, reference_hermite_lagrange),
+                           (lambda q, nodes: scaled_hermite(q, target, nodes=nodes),
+                            lambda q, nodes: reference_scaled_hermite(q, target, nodes))):
+            got, want = _outcome(build, q, nodes), _outcome(ref, q, nodes)
+            if isinstance(want, str):
+                assert got == want
+                kinds.add("raises")
+                continue
+            _assert_same_bytes(got, want)
+            kinds.add("imag" if "imag" in nodes.kinds else "real")
+    assert kinds == {"real", "imag", "raises"}
+
+
+def test_display_texts_are_the_multipoly_texts():
+    forms = [hermite_power(q) for q in _oracle_qs()]
+    forms += [scaled_hermite(q, target, nodes=nodes) for q, target, nodes in _lagrange_cases()
+              if "imag" not in nodes.kinds or "real" not in nodes.kinds]
+    for H in forms:
+        ii, jj = np.triu_indices(H.n)
+        want = [str(H.entry(i + 1, j + 1)) for i, j in zip(ii, jj)]
+        assert poly_texts(H.E, H.C[:, ii, jj]) == want
+
+
+def test_changing_returned_arrays_leaves_the_next_build_unchanged():
+    plant = _planted_plant(4, 4, 2, 2)
+    target = build_target(roots(char_poly(plant).at_gains(np.zeros(4))), MIRROR)
+    nodes = nodes_from_target(target)
+
+    def build():
+        q = char_poly(plant)
+        return q, [hermite_power(q), hermite_lagrange(q, nodes),
+                   scaled_hermite(q, target, nodes=nodes)]
+
+    q, forms = build()
+    for H in forms:
+        H.E += 1
+        H.C[:] = 7.0
+    q.E[:] = 3
+    gain_support(2, 2)[:] = 5
+    q, forms = build()
+    ref = reference_char_poly(plant)
+    assert q.E.tobytes() == ref.E.tobytes() and q.Q.tobytes() == ref.Q.tobytes()
+    for got, want in zip(forms, [symbolic_bezoutian(ref), reference_hermite_lagrange(ref, nodes),
+                                 reference_scaled_hermite(ref, target, nodes)]):
+        _assert_same_bytes(got, want)
+
+
+def test_plans_are_read_only_and_their_caches_bounded():
+    q = char_poly(_planted_plant(0, 4, 2, 2))
+    plans = [polynomials._char_poly_plan(2, 2), hermite._power_plan(q.n, q.E.shape, q.E.tobytes())]
+    arrays = [a for plan in plans for a in vars(plan).values() if isinstance(a, np.ndarray)]
+    arrays += hermite._upper(4)
+    assert len(arrays) == 11
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    for cached in (polynomials._char_poly_plan, hermite._power_plan, hermite._upper):
+        assert cached.cache_info().maxsize is not None
