@@ -9,8 +9,8 @@ from .benchmarks import (
     ExperimentConfig,
     ExperimentRow,
     PolyFixture,
+    get_plant,
     load_instance,
-    registry,
     run_experiment,
 )
 from .errors import (

@@ -102,11 +102,6 @@ _TARGET_ROOTS = {
 }
 
 
-def _targets() -> dict[str, TargetSpec]:
-    return {name: TargetSpec(mode="explicit-roots", roots=roots)
-            for name, roots in _TARGET_ROOTS.items()}
-
-
 # NN6 achievable-target fixture: printed random gain and the resulting
 # imaginary-part root list.
 NN6_ACHIEVABLE_GAIN = np.array([-4.3264e-1, -1.6656, 1.2537e-1, 2.8772e-1])
@@ -123,15 +118,6 @@ def _embedded(name: str):
     if name in _POLYS:
         return PolyFixture(name, _printed(_POLYS[name]))
     return None
-
-
-def registry() -> dict:
-    """Embedded paper fixtures, keyed by benchmark name."""
-    return {
-        "systems": {name: _embedded(name) for name in _SYSTEMS},
-        "polys": {name: _embedded(name) for name in _POLYS},
-        "targets": _targets(),
-    }
 
 
 def _find_plant(name: str):
@@ -237,10 +223,13 @@ def hermite_form(
     """The Hermite form of q that a solve or a display uses: the power form,
     or for "lagrange" the Lagrange form over the nodes of the target (the
     mirror shift at -0.5 when None; see `nodes_from_target` for the part
-    they come from), scaled by the target's own form.  A form with a
-    coefficient that overflows is an input error."""
+    they come from), scaled by the target's own form.  A target given with
+    the power basis, and a form with a coefficient that overflows, are
+    input errors."""
     if basis not in ("power", "lagrange"):
         raise InputError(f"unknown basis {basis!r}")
+    if basis == "power" and target is not None:
+        raise InputError("the power basis takes no target")
     with np.errstate(over="ignore", invalid="ignore"):
         if basis == "power":
             H = hermite_power(q)
@@ -332,7 +321,7 @@ def rows_to_text(rows: Sequence[ExperimentRow]) -> str:
 
 # The published settings, one row per solve in each suite's order: (system,
 # basis, mu, k0, target, SolveConfig fields).  A target is None, "mirror"
-# (mirror-shift at -0.5) or a key of `_targets()`; a row without fields
+# (mirror-shift at -0.5) or a key of `_TARGET_ROOTS`; a row without fields
 # solves with SolveConfig's defaults.  Systems without embedded data come from
 # instance files; Table 2 sweeps the PAS targets.
 _AC4 = {"u0": 1.0 / 9}
@@ -369,8 +358,11 @@ _SUITES = {
 
 def _config(basis, mu, k0, target, fields) -> ExperimentConfig:
     """A fresh ExperimentConfig of one suite row."""
-    targets = {None: None, "mirror": TargetSpec(), **_targets()}
-    return ExperimentConfig(basis, mu, k0=list(k0), target=targets[target],
+    if target in _TARGET_ROOTS:
+        target = TargetSpec(mode="explicit-roots", roots=_TARGET_ROOTS[target])
+    elif target == "mirror":
+        target = TargetSpec()
+    return ExperimentConfig(basis, mu, k0=list(k0), target=target,
                             solver=SolveConfig(**fields) if fields else None)
 
 
@@ -384,10 +376,6 @@ def suite(name: str) -> list[tuple[str, object, ExperimentConfig]]:
 
 def table1_suite() -> list[tuple[str, object, ExperimentConfig]]:
     return suite("table1")
-
-
-def table2_suite() -> list[tuple[str, object, ExperimentConfig]]:
-    return suite("table2")
 
 
 def suite_config(system: str, basis: str) -> ExperimentConfig | None:

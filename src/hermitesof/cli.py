@@ -31,11 +31,12 @@ from .benchmarks import (
 )
 from .errors import HermiteSofError, InputError
 from .hermite import (
+    _upper,
     cond_frobenius,
     hermite_lagrange,
     hermite_power,
     power_scale,
-    scaled_hermite,
+    scaling_from_numeric,
 )
 from .polynomials import optimal_rho, poly_texts
 from .solver import SolveConfig, verify_solution
@@ -69,13 +70,11 @@ def _show(args, payload, lines) -> None:
 
 def cmd_hermite(args) -> int:
     plant = get_plant(args.fixture)
-    spec = None
-    if args.basis == "lagrange":
-        spec = _target_spec(args)
-        if spec is None:
-            raise InputError("lagrange basis needs --roots or --target-shift")
+    spec = _target_spec(args)
+    if args.basis == "lagrange" and spec is None:
+        raise InputError("lagrange basis needs --roots or --target-shift")
     H = hermite_form(plant.q, args.basis, spec)
-    ii, jj = np.triu_indices(H.n)
+    ii, jj = _upper(H.n)
     keys = [f"{i + 1},{j + 1}" for i, j in zip(ii.tolist(), jj.tolist())]
     entries = dict(zip(keys, poly_texts(H.E, H.C[:, ii, jj])))
     payload = {"basis": H.basis, "n": H.n, "entries": entries}
@@ -116,7 +115,8 @@ def cmd_cond(args) -> int:
         Ml = hermite_lagrange(c, nodes).eval_at()
         rows.append(("lagrange", f"{cond_frobenius(Ml):.8g}"))
         # scaled by c's own Lagrange form, not the target's
-        Ms = scaled_hermite(c, c, nodes=nodes).eval_at()
+        S = scaling_from_numeric(Ml, nodes)
+        Ms = Ml * np.outer(S, S)
         rows.append(("scaled-lagrange", f"{cond_frobenius(Ms):.8g}"))
     except HermiteSofError as exc:
         rows.append(("lagrange", f"n/a ({exc})"))

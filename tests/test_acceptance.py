@@ -12,10 +12,11 @@ import pytest
 
 from hermitesof.benchmarks import (
     ExperimentConfig,
-    registry,
+    get_plant,
     rows_to_csv,
     run_experiment,
     run_single,
+    suite_config,
     table1_suite,
     NN6_ACHIEVABLE_GAIN,
     NN6_ACHIEVABLE_NODES,
@@ -39,10 +40,9 @@ from test_hermite import AC4_HP, NN1_HS11, NN5_HP, NN6_EX5_HS11, NN6_HP33
 from test_solver import _random_form
 
 
-REG = registry()
-AC4_OL = REG["polys"]["AC4_openloop"].q.at_gains([])
-NN5_OL = REG["polys"]["NN5_openloop"].q.at_gains([])
-NN6 = REG["polys"]["NN6"].q
+AC4_OL = get_plant("AC4_openloop").q.at_gains([])
+NN5_OL = get_plant("NN5_openloop").q.at_gains([])
+NN6 = get_plant("NN6").q
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ def test_criterion_3_lagrange_fixtures():
         assert relerr(g, r) <= 1e-6
     assert relerr(HL[5, 6], 22222.878) <= 1e-6
 
-    nn1 = REG["systems"]["NN1"]
+    nn1 = get_plant("NN1")
     HS = scaled_hermite(char_poly(nn1), poly_from_roots([-1.0, -2.0, -3.0]))
     got11 = dict(HS.entry(1, 1).terms)
     assert set(got11) == set(NN1_HS11)
@@ -217,26 +217,26 @@ def test_criterion_7_basis_benefit_trend():
     )
     configs = {
         ("AC4", "power"): (
-            REG["polys"]["AC4"],
+            get_plant("AC4"),
             ExperimentConfig("power", 1e-5, k0=[0.0, 0.0], solver=SolveConfig(u0=1.0 / 9)),
         ),
         ("AC4", "lagrange"): (
-            REG["polys"]["AC4"],
+            get_plant("AC4"),
             ExperimentConfig(
                 "lagrange", 1e-5, k0=[0.0, 0.0],
-                target=REG["targets"]["AC4_shifted"], part="re",
+                target=suite_config("AC4", "lagrange").target, part="re",
                 solver=SolveConfig(u0=1.0 / 9),
             ),
         ),
         ("NN6", "power"): (
-            REG["polys"]["NN6"],
+            get_plant("NN6"),
             ExperimentConfig("power", 1e-5, k0=[0.0] * 4, solver=nn6_solver),
         ),
         ("NN6", "lagrange"): (
-            REG["polys"]["NN6"],
+            get_plant("NN6"),
             ExperimentConfig(
                 "lagrange", 1e-5, k0=[0.0] * 4,
-                target=REG["targets"]["NN6_sigma1"], solver=nn6_solver,
+                target=suite_config("NN6", "lagrange").target, solver=nn6_solver,
             ),
         ),
     }

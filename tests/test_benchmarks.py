@@ -12,7 +12,6 @@ from hermitesof.benchmarks import (
     ExperimentConfig,
     get_plant,
     load_instance,
-    registry,
     rows_to_csv,
     run_experiment,
     run_single,
@@ -31,25 +30,22 @@ from conftest import save_instance
 from test_hermite import _planted_plant
 
 
-REG = registry()
-
-
 def test_registry_nn1_matrices():
-    nn1 = REG["systems"]["NN1"]
+    nn1 = get_plant("NN1")
     assert np.array_equal(nn1.A[2], [0.0, 13.0, 0.0])
     assert nn1.B.shape == (3, 1)
     assert nn1.C.shape == (2, 3)
 
 
 def test_registry_nn6_constant_term():
-    q = REG["polys"]["NN6"].q
+    q = get_plant("NN6").q
     c0 = q.coeffs[0]
     assert dict(c0.terms) == {(1, 0, 0, 0): 95113415.0}
     assert q.n == 9
 
 
 def test_registry_nn5_constant_term():
-    q = REG["polys"]["NN5_openloop"].q
+    q = get_plant("NN5_openloop").q
     assert q.coeffs[0].terms == {(): 6.3000000}
     assert q.n == 7
 
@@ -60,27 +56,42 @@ def _arrays(plant):
     return plant.q.E, plant.q.Q
 
 
+# the embedded fixtures, in table order
+FIXTURES = {"systems": ("NN1",), "polys": ("NN6", "AC4", "AC4_openloop", "NN5_openloop")}
+
+
+def _printed_targets():
+    """The printed target root lists in table order, each from the suite
+    row that solves over it."""
+    pas = [cfg.target for _, _, cfg in suite("table2") if cfg.target is not None]
+    return {
+        "NN6_sigma1": suite_config("NN6", "lagrange").target,
+        "AC4_shifted": suite_config("AC4", "lagrange").target,
+        **{f"PAS_sigma{i}": target for i, target in enumerate(pas, 1)},
+    }
+
+
 def test_registry_holds_the_printed_fixtures_bit_for_bit():
     # any change to a name, value, dtype, shape or order changes the digest
     h = hashlib.sha256()
-    for kind in ("systems", "polys"):
-        for name, plant in REG[kind].items():
+    for kind, names in FIXTURES.items():
+        for name in names:
+            plant = get_plant(name)
             h.update(f"{kind} {name} {plant.name} m={plant.m} p={plant.p}".encode())
             for a in _arrays(plant):
                 h.update(f"{a.dtype.str} {a.shape}".encode() + a.tobytes())
-    for name, target in REG["targets"].items():
+    for name, target in _printed_targets().items():
         h.update(f"target {name} {target!r}".encode())
     assert h.hexdigest() == "beb21bc2d8e8692663ddfbe8d7126775d6846314ac0206fb233b6590c97666d9"
 
 
 @pytest.mark.parametrize("name", ["NN1", "NN6", "AC4", "AC4_openloop", "NN5_openloop"])
 def test_each_lookup_builds_a_fresh_copy_of_the_registry_entry(name):
-    entry = {**REG["systems"], **REG["polys"]}[name]
     first, second = get_plant(name), get_plant(name)
-    assert (first.name, first.m, first.p) == (entry.name, entry.m, entry.p)
-    for a, b, c in zip(_arrays(first), _arrays(second), _arrays(entry)):
-        assert a.dtype == c.dtype and np.array_equal(a, c)
-        assert not np.shares_memory(a, b) and not np.shares_memory(a, c)
+    assert (first.name, first.m, first.p) == (second.name, second.m, second.p)
+    for a, b in zip(_arrays(first), _arrays(second)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not np.shares_memory(a, b)
 
 
 def test_a_lookup_builds_only_the_fixture_it_names(tmp_path, monkeypatch):
@@ -102,7 +113,7 @@ def test_a_lookup_builds_only_the_fixture_it_names(tmp_path, monkeypatch):
 
 
 def test_instance_round_trip(tmp_path):
-    nn1 = REG["systems"]["NN1"]
+    nn1 = get_plant("NN1")
     path = tmp_path / "NN1.json"
     save_instance(nn1, path)
     loaded = load_instance(path)
@@ -156,7 +167,7 @@ def test_csv_header_layout():
 
 
 def test_run_experiment_deterministic():
-    nn1 = REG["systems"]["NN1"]
+    nn1 = get_plant("NN1")
     job = [("NN1", nn1, ExperimentConfig("power", 1e-3, k0=[0.0, 30.0]))]
     first = rows_to_csv(run_experiment(job))
     second = rows_to_csv(run_experiment(job))
@@ -166,13 +177,13 @@ def test_run_experiment_deterministic():
 def test_run_single_leaves_solver_config_unchanged():
     scfg = SolveConfig(max_outer=1, max_inner=2)
     cfg = ExperimentConfig("power", 1e-3, k0=[0.0, 30.0], lam0=-1.0, solver=scfg)
-    run_single("NN1", REG["systems"]["NN1"], cfg)
+    run_single("NN1", get_plant("NN1"), cfg)
     assert scfg.k0 is None and scfg.lam0 is None
     assert scfg == SolveConfig(max_outer=1, max_inner=2)
 
 
 def test_run_single_takes_k0_and_lam0_from_the_solver_config():
-    nn1 = REG["systems"]["NN1"]
+    nn1 = get_plant("NN1")
     row = run_single("NN1", nn1, ExperimentConfig(
         "power", 1e-3, solver=SolveConfig(k0=[0.0, 30.0], lam0=1e6)))
     assert row.k0 == "[0 30]" and row.status.startswith("error: lam0 1000000 ")
@@ -205,13 +216,12 @@ def test_run_single_builds_no_symbolic_polynomial(monkeypatch):
         raise AssertionError("a MultiPoly was built")
 
     monkeypatch.setattr(MultiPoly, "__init__", refuse)
-    reg = registry()
     mirror = TargetSpec(mode="mirror-shift", shift=-0.5)
     short = SolveConfig(max_outer=2)
     runs = [
-        ("NN1", reg["systems"]["NN1"], ExperimentConfig("power", 1e-3, k0=[0.0, 30.0])),
-        ("AC4", reg["polys"]["AC4"], ExperimentConfig(
-            "lagrange", 1e-5, k0=[0.0, 0.0], target=reg["targets"]["AC4_shifted"],
+        ("NN1", get_plant("NN1"), ExperimentConfig("power", 1e-3, k0=[0.0, 30.0])),
+        ("AC4", get_plant("AC4"), ExperimentConfig(
+            "lagrange", 1e-5, k0=[0.0, 0.0], target=suite_config("AC4", "lagrange").target,
             part="re", solver=short,
         )),
         ("planted", _planted_plant(0, 4, 2, 2), ExperimentConfig(

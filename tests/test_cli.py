@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from hermitesof.benchmarks import (
-    CSV_HEADER, DATA_DIR_ENV, NN6_ACHIEVABLE_GAIN, ExperimentRow, get_plant, registry,
-    rows_to_csv, run_experiment, table2_suite,
+    CSV_HEADER, DATA_DIR_ENV, NN6_ACHIEVABLE_GAIN, ExperimentRow, get_plant, rows_to_csv,
+    run_experiment, suite,
 )
+from hermitesof import cli, hermite
 from hermitesof.cli import main
 from hermitesof.stability import roots
 
@@ -87,14 +88,68 @@ COND_WITH_TARGET = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(COND_WITH_TARGET))
-def test_cond_with_a_target(case, capsys):
-    argv, text = COND_WITH_TARGET[case]
+# cond without a target: the nodes of the evaluated polynomial itself mix
+# real and imaginary values, so the scaled row is scaled through the 2x2
+# block of each imaginary pair
+COND_WITHOUT_TARGET = {
+    "AC4_openloop": (
+        ["--fixture", "AC4_openloop"],
+        "power                          1158.1557\n"
+        "power-scaled (rho=0.34973939)  32.100541\n"
+        "lagrange                       8557.5921\n"
+        "scaled-lagrange                4\n",
+    ),
+    "NN5_openloop": (
+        ["--fixture", "NN5_openloop"],
+        "power                          3782076.6\n"
+        "power-scaled (rho=0.76879136)  754494.4\n"
+        "lagrange                       20977811\n"
+        "scaled-lagrange                7\n",
+    ),
+}
+
+
+def _assert_cond_prints(argv, text, capsys):
+    """cond prints text, and its rows as JSON under --format json."""
     assert main(["cond", *argv]) == 0
     assert capsys.readouterr().out == text
     assert main(["cond", *argv, "--format", "json"]) == 0
     rows = dict(re.split(r"  +", line) for line in text.splitlines())
     assert capsys.readouterr().out == json.dumps(rows, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("case", sorted(COND_WITH_TARGET))
+def test_cond_with_a_target(case, capsys):
+    _assert_cond_prints(*COND_WITH_TARGET[case], capsys)
+
+
+@pytest.mark.parametrize("case", sorted(COND_WITHOUT_TARGET))
+def test_cond_without_a_target(case, capsys):
+    _assert_cond_prints(*COND_WITHOUT_TARGET[case], capsys)
+
+
+@pytest.mark.parametrize("case", sorted(COND_WITH_TARGET) + sorted(COND_WITHOUT_TARGET))
+def test_cond_builds_each_form_once(case, capsys, monkeypatch):
+    # one power form for the power rows and one inside the Lagrange form;
+    # the scaled row rescales the evaluated Lagrange matrix
+    calls = []
+
+    def counted(name):
+        real = getattr(hermite, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    power = counted("hermite_power")
+    monkeypatch.setattr(hermite, "hermite_power", power)
+    monkeypatch.setattr(cli, "hermite_power", power)
+    monkeypatch.setattr(hermite, "_lagrange", counted("_lagrange"))
+    argv, text = {**COND_WITH_TARGET, **COND_WITHOUT_TARGET}[case]
+    assert main(["cond", *argv]) == 0
+    assert capsys.readouterr().out == text
+    assert calls.count("hermite_power") <= 2 and calls.count("_lagrange") == 1, calls
 
 
 @pytest.mark.parametrize("fixture, power, scaled", [
@@ -200,7 +255,7 @@ def test_solve_input_error_row_exits_2(flags, capsys):
 def test_solve_over_real_and_imaginary_nodes_is_an_input_error(capsys):
     # q(NN6_ACHIEVABLE_GAIN) has a root at 2.71, so its Lagrange nodes mix
     # seven real values with +-2.7034j: the solve is refused, not run
-    target = registry()["polys"]["NN6"].q.at_gains(NN6_ACHIEVABLE_GAIN)
+    target = get_plant("NN6").q.at_gains(NN6_ACHIEVABLE_GAIN)
     given = ",".join(str(complex(r)).strip("()") for r in roots(target))
     rc = main(["solve", "--fixture", "NN6", "--basis", "lagrange", "--roots", given])
     row = capsys.readouterr().out.splitlines()[1]
@@ -291,9 +346,15 @@ NON_FINITE_PLANTS = {
     (["solve", "--fixture", "{number}"], "expected a JSON object, got int"),
     (["hermite", "--fixture", "{null}", "--basis", "power"],
      "expected a JSON object, got NoneType"),
+    # the power form has no nodes, so a target would go unused
+    (["hermite", "--fixture", "NN1", "--basis", "power", "--roots=-1,-2,-3"],
+     "error: the power basis takes no target"),
+    (["solve", "--fixture", "NN1", "--basis", "power", "--roots=-1,-2,-3"],
+     "error: the power basis takes no target"),
 ], ids=["nan-instance", "inf-instance", "nan-gain", "inf-gain", "nan-root", "zero-P0",
         "negative-P0", "nan-shift", "gains-without-variables", "overflowing-H",
-        "overflowing-H-AC4", "overflowing-q", "number-instance", "null-instance"])
+        "overflowing-H-AC4", "overflowing-q", "number-instance", "null-instance",
+        "power-hermite-roots", "power-solve-roots"])
 def test_bad_outside_input_exits_2(argv, says, capsys, tmp_path):
     paths = {}
     for name, text in NON_FINITE_PLANTS.items():
@@ -339,7 +400,7 @@ def test_out_file_holds_the_csv_text(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv(DATA_DIR_ENV, raising=False)
     path = tmp_path / "rows.csv"
     main(["bench", "--suite", "table2", "--out", str(path)])
-    assert path.read_text() == rows_to_csv(run_experiment(table2_suite()))
+    assert path.read_text() == rows_to_csv(run_experiment(suite("table2")))
     capsys.readouterr()
     main(["solve", "--fixture", "NN1", "--basis", "power", "--mu", "-1",
           "--format", "csv", "--out", str(path)])

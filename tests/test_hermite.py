@@ -5,7 +5,9 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings, strategies as st
 
-from hermitesof.benchmarks import NN6_ACHIEVABLE_GAIN, NN6_ACHIEVABLE_NODES, registry
+from hermitesof.benchmarks import (
+    NN6_ACHIEVABLE_GAIN, NN6_ACHIEVABLE_NODES, get_plant, suite_config,
+)
 from hermitesof.errors import DegenerateInputError, InputError, UnsupportedNodeError
 from hermitesof import hermite, polynomials
 from hermitesof.hermite import (
@@ -41,11 +43,10 @@ from conftest import (
 )
 
 
-REG = registry()
-NN1 = REG["systems"]["NN1"]
-AC4_OL = REG["polys"]["AC4_openloop"].q.at_gains([])
-NN5_OL = REG["polys"]["NN5_openloop"].q.at_gains([])
-NN6 = REG["polys"]["NN6"].q
+NN1 = get_plant("NN1")
+AC4_OL = get_plant("AC4_openloop").q.at_gains([])
+NN5_OL = get_plant("NN5_openloop").q.at_gains([])
+NN6 = get_plant("NN6").q
 
 
 def _coeffs_of(p: MultiPoly) -> dict:
@@ -97,7 +98,7 @@ def _out_of_order_q():
 
 def _oracle_qs():
     qs = [char_poly(NN1)]
-    qs += [REG["polys"][f].q for f in ("AC4", "NN6", "AC4_openloop", "NN5_openloop")]
+    qs += [get_plant(f).q for f in ("AC4", "NN6", "AC4_openloop", "NN5_openloop")]
     qs += [char_poly(_planted_plant(seed, *shape)) for seed, shape in enumerate(ORACLE_SHAPES)]
     return qs + [_out_of_order_q()]
 
@@ -441,8 +442,8 @@ def test_build_then_evaluate_matches_evaluate_then_build(rng):
     q_nn1 = char_poly(NN1)
     cases = [
         (q_nn1, build_target(roots(q_nn1.at_gains([0.0, 0.0])), mirror), "im"),
-        (REG["polys"]["AC4"].q, build_target([], REG["targets"]["AC4_shifted"]), "re"),
-        (NN6, build_target([], REG["targets"]["NN6_sigma1"]), "im"),
+        (get_plant("AC4").q, build_target([], suite_config("AC4", "lagrange").target), "re"),
+        (NN6, build_target([], suite_config("NN6", "lagrange").target), "im"),
     ]
     for seed, shape in enumerate([(4, 1, 2), (4, 2, 1), (4, 2, 2)]):
         plant = _planted_plant(seed, *shape)

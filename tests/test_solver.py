@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermitesof import solver
 from hermitesof.benchmarks import (
-    NN6_ACHIEVABLE_GAIN, hermite_form, registry, run_single, table1_suite,
+    NN6_ACHIEVABLE_GAIN, get_plant, hermite_form, run_single, suite_config, table1_suite,
 )
 from hermitesof.errors import BarrierDomainError, InputError
 from hermitesof.hermite import hermite_power, scaled_hermite
@@ -32,9 +32,8 @@ from conftest import pack_entries, relerr
 from test_hermite import _planted_plant
 
 
-REG = registry()
-NN1 = REG["systems"]["NN1"]
-AC4 = REG["polys"]["AC4"].q
+NN1 = get_plant("NN1")
+AC4 = get_plant("AC4").q
 
 
 def _const_form(M):
@@ -70,7 +69,7 @@ def _random_form(rng, n, nvars):
 
 
 def _ac4_scaled_program():
-    target = build_target([], REG["targets"]["AC4_shifted"])
+    target = build_target([], suite_config("AC4", "lagrange").target)
     H = scaled_hermite(AC4, target, part="re")
     return SofProgram(H, mu=1e-5, m=1, p=2)
 
@@ -131,8 +130,8 @@ def test_solve_rejects_a_setting_outside_its_range(monkeypatch, name, value):
 def test_program_rejects_a_form_over_real_and_imaginary_nodes():
     # q(NN6_ACHIEVABLE_GAIN) has a root at 2.71: its seven real nodes and
     # the pair +-2.7034j certify nothing
-    target = REG["polys"]["NN6"].q.at_gains(NN6_ACHIEVABLE_GAIN)
-    H = scaled_hermite(REG["polys"]["NN6"].q, target)
+    q = get_plant("NN6").q
+    H = scaled_hermite(q, q.at_gains(NN6_ACHIEVABLE_GAIN))
     assert {"real", "imag"} <= set(H.nodes.kinds)
     with pytest.raises(InputError, match=r"^nodes 0\+0j, .*2\.7033648j mix real and imaginary"):
         SofProgram(H, mu=1e-5, m=2, p=2)
@@ -340,8 +339,10 @@ def test_shared_monomial_pass_is_bitwise_equal_to_per_block_path(rng):
         SofProgram(hermite_power(char_poly(NN1)), mu=1e-4, m=1, p=2),
         _ac4_scaled_program(),
         SofProgram(
-            scaled_hermite(REG["polys"]["NN6"].q,
-                           build_target([], REG["targets"]["NN6_sigma1"]), part="im"),
+            scaled_hermite(
+                get_plant("NN6").q,
+                build_target([], suite_config("NN6", "lagrange").target), part="im",
+            ),
             mu=1e-5, m=2, p=2,
         ),
         SofProgram(

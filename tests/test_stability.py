@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hermitesof.benchmarks import registry
+from hermitesof.benchmarks import get_plant, suite_config
 from hermitesof.errors import DegenerateInputError, NodeCountError
 from hermitesof.hermite import hermite_power
 from hermitesof.polynomials import poly_degree, poly_from_roots, split_re_im
@@ -19,9 +19,8 @@ from conftest import (
 )
 
 
-REG = registry()
-AC4_OL = REG["polys"]["AC4_openloop"].q.at_gains([])
-NN6 = REG["polys"]["NN6"].q
+AC4_OL = get_plant("AC4_openloop").q.at_gains([])
+NN6 = get_plant("NN6").q
 
 
 def _match(got, ref, tol):
@@ -115,7 +114,7 @@ def test_build_target_shifts_unstable_poles():
 
 
 def test_build_target_nn6_sigma_list():
-    target = build_target([], REG["targets"]["NN6_sigma1"])
+    target = build_target([], suite_config("NN6", "lagrange").target)
     assert poly_degree(target) == 9
     assert target[9] == 1.0
     assert is_hurwitz(target)[0]
