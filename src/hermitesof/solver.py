@@ -12,25 +12,29 @@ the KKT normalization (dL/dlambda = -1 + tr U), and a solve whose tr U
 passes U_DIVERGED after an outer update and convergence test ends as
 diverged.
 
-One evaluation of the augmented objective is one pass, in this order: the
-gain-box test (an empty box without gains), H(k) (SofProgram.h_row), eigh,
-the barrier-domain test, every dH/dk_l (SofProgram.partial_rows), the
-value, the gradient; a point outside the domain costs no partial.  Its
-results are bit-for-bit those of composing the reference constraint_eval,
-the objective and phi (as -p*log1p(-t/p)).  Each outer iteration records
+One evaluation of the augmented objective has two phases.  The value
+phase is the gain-box test (an empty box without gains), H(k)
+(SofProgram.h_row), eigh, the barrier-domain test, Q'UQ, phi and the
+value; a point outside the domain ends there.  The gradient phase is every
+dH/dk_l (SofProgram.partial_rows), the divided differences of phi, the
+congruences Q'(dG)Q and the gradient.  A line-search trial takes the value
+phase, and only the step Armijo's test accepts runs the gradient phase,
+after the evaluation returns; a finite-difference probe skips the value;
+the start of each inner solve takes both.  The results are bit-for-bit
+those of composing the reference constraint_eval, the objective and phi
+(as -p*log1p(-t/p)).  Each outer iteration records
 (lambda, min eig of G = H(k) - lambda*I, f) from H(k) alone
 (SofProgram.h_eval), and the report reads the last record.
 
 Trial points outside the barrier domain are rejected.  The 40
 finite-difference probes of one coordinate and the backtracking steps of
-one line search are each a fixed sequence, and one walker, _in_domain,
-evaluates each in order.  Before any point of an inner iteration's probes
-or of its line search is evaluated, a domain screen proves points outside
-the domain in one batch from a Rayleigh-quotient bound, and the walker
-skips them without an evaluation.  The screen flags only points the
-objective rejects, so the first accepted point of every sequence, and so
-every iterate, is the same as without it.  A skipped line-search step
-still counts as a trial.
+one line search are each a fixed sequence, evaluated in order.  Before any
+point of an inner iteration's probes or of its line search is evaluated,
+a domain screen proves points outside the domain in one batch from a
+Rayleigh-quotient bound, and those points are skipped unevaluated.  The
+screen flags only points the objective rejects, so the first accepted
+point of every sequence, and so every iterate, is the same as without it.
+A skipped line-search step still counts as a trial.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ class SofProgram:
     def h_row(self, k) -> tuple[np.ndarray, np.ndarray]:
         """A fresh stack with H(k) flattened in its first row and -I in its
         last, and the monomial values v that partial_rows reads."""
-        v = (np.asarray(k, dtype=float) ** self._E).prod(axis=1)
+        v = np.multiply.reduce(np.asarray(k, dtype=float) ** self._E, axis=1)
         S = self._stack.copy()
         idx, C2 = self._terms[0]
         np.dot(v[idx], C2, out=S[0])
@@ -193,6 +197,8 @@ def augmented_objective(
     p: float,
     k_bound: float | None = None,
     u_box: np.ndarray | None = None,
+    *,
+    phase: str | None = None,
 ):
     """Value and gradient of f(x) + <U, Phi_p(-G(x))> with the shifted log
     barrier applied spectrally (Daleckii-Krein rule for the gradient).
@@ -201,71 +207,91 @@ def augmented_objective(
     through the same penalty with multipliers u_box[(lo, hi) x mp]; a point
     outside the box is rejected before H(k) is evaluated.
 
-    One pass: box test, H(k) (SofProgram.h_row), eigh, barrier-domain
-    test, the partials of H (SofProgram.partial_rows), value, gradient; a
-    rejected point costs no partial.  Every value, gradient and domain
-    decision is bit-for-bit that of composing constraint_eval, the
-    objective mu*||k|| - lambda with its gradient (mu*k/||k||, -1) and phi
-    evaluated as -p*log1p(-t/p), without their calls."""
+    Two phases.  The value phase: box test, H(k) (SofProgram.h_row), eigh,
+    barrier-domain test, Q'UQ, phi, value; a rejected point ends here.  The
+    gradient phase: the partials of H (SofProgram.partial_rows), the
+    divided differences of phi, the congruences Q'(dG)Q, gradient.  The
+    default returns (value, gradient); phase="value" returns (value,
+    gradient) with gradient a callable that runs the gradient phase, on x
+    and u_box as they are then; phase="gradient" returns (None, gradient).
+    Every value, gradient and domain decision is bit-for-bit that of
+    composing constraint_eval, the objective mu*||k|| - lambda with its
+    gradient (mu*k/||k||, -1) and phi evaluated as -p*log1p(-t/p), without
+    their calls."""
     x = np.ascontiguousarray(x, dtype=float)
     mp, n = prog.mp, prog.H.n
     if x.size != mp + 1:
         raise InputError(f"decision vector length {x.size}, expected {mp + 1}")
+    if not 0.0 < p < math.inf:
+        raise InputError(f"p {p:.8g} must be positive and finite")
     k, lam = x[:-1], x[-1]
     limit = p * (1.0 - 1e-12)
     if k_bound is not None:
+        if not 0.0 < k_bound < math.inf:
+            raise InputError(f"k_bound {k_bound:.8g} must be positive and finite")
         # -k_i <= k_bound, k_i <= k_bound; a program without gains has none
         z = _BOX_SIGNS * k - k_bound
-        if z.max(initial=-np.inf) >= limit:
+        if np.maximum.reduce(z, axis=None, initial=-math.inf) >= limit:
             raise BarrierDomainError("iterate left the gain box domain")
     S, v = prog.h_row(k)
+    # -(H - lam*I), not lam*I - H: that turns -0.0 entries into +0.0
     w, Q = np.linalg.eigh(-(S[0].reshape(n, n) - lam * prog._eye))
-    if w.max() >= limit:
+    if np.maximum.reduce(w) >= limit:
         raise BarrierDomainError("iterate left the barrier domain")
-    prog.partial_rows(v, S)
-    S = S.reshape(mp + 2, n, n)
     wp = w / -p  # is -w / p exactly
     phi = -p * np.log1p(wp)
-
     Ut = Q.T @ U @ Q
     # f = mu*||k|| - lambda, with np.linalg.norm's sqrt(k . k)
     nk = math.sqrt(k.dot(k))
-    val = prog.mu * nk - lam + float((Ut.diagonal() * phi).sum())
-
-    # divided-difference matrix of phi on the spectrum; a pair within
-    # 1e-12*(1 + |w_i| + |w_j|), the diagonal always, takes phi' at the
-    # midpoint.  w ascends, so w_j - w_i >= w_{i+1} - w_i for i < j, and a
-    # smallest neighbour gap above 4e-12*(1 + max|w|) leaves only the
-    # diagonal, whose midpoint is w_i itself while |w| < 1e300.
-    W = max(-w[0], w[-1])
-    if (w[1:] - w[:-1]).min(initial=np.inf) > 4e-12 * (1.0 + W) and W < 1e300:
-        # + I: no 0/0 on the diagonal, which is overwritten
-        Gamma = (phi[:, None] - phi[None, :]) / (w[:, None] - w[None, :] + prog._eye)
-        Gamma.flat[:: n + 1] = 1.0 / (1.0 + wp)
-    else:
-        dw = w[:, None] - w[None, :]
-        aw = np.abs(w)
-        close = np.abs(dw) <= 1e-12 * (1.0 + aw[:, None] + aw[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Gamma = (phi[:, None] - phi[None, :]) / dw
-        mid = 0.5 * (w[:, None] + w[None, :])
-        Gamma[close] = (1.0 / (1.0 - mid / p))[close]
-
-    M = Ut * Gamma
-    grad = (M * (Q.T @ (-S[1:]) @ Q)).reshape(mp + 1, n * n).sum(axis=1)
-    # + the gradient of f, (mu*k/||k||, -1)
-    grad[:-1] += prog.mu * k / nk if nk > 0 else 0.0
-    grad[-1] += -1.0
-
     if k_bound is not None:
         if u_box is None:
             u_box = np.ones((2, mp))
         zp = z / -p
+
+    def gradient():
+        prog.partial_rows(v, S)
+        # divided-difference matrix of phi on the spectrum; a pair within
+        # 1e-12*(1 + |w_i| + |w_j|), the diagonal always, takes phi' at the
+        # midpoint.  w ascends, so w_j - w_i >= w_{i+1} - w_i for i < j, and
+        # a smallest neighbour gap above 4e-12*(1 + max|w|) leaves only the
+        # diagonal, whose midpoint is w_i itself while |w| < 1e300.
+        W = max(-w[0], w[-1])
+        gap = np.minimum.reduce(w[1:] - w[:-1], initial=math.inf)
+        if gap > 4e-12 * (1.0 + W) and W < 1e300:
+            # + I: no 0/0 on the diagonal, which is overwritten
+            Gamma = np.subtract.outer(phi, phi) / (np.subtract.outer(w, w) + prog._eye)
+            Gamma.flat[:: n + 1] = 1.0 / (1.0 + wp)
+        else:
+            dw = np.subtract.outer(w, w)
+            aw = np.abs(w)
+            close = np.abs(dw) <= 1e-12 * (1.0 + aw[:, None] + aw[None, :])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                Gamma = np.subtract.outer(phi, phi) / dw
+            mid = 0.5 * (w[:, None] + w[None, :])
+            Gamma[close] = (1.0 / (1.0 - mid / p))[close]
+
+        M = Ut * Gamma
+        dG = S.reshape(mp + 2, n, n)[1:]
+        grad = np.add.reduce((M * (Q.T @ (-dG) @ Q)).reshape(mp + 1, n * n), axis=1)
+        # + the gradient of f, (mu*k/||k||, -1)
+        grad[:-1] += prog.mu * k / nk if nk > 0 else 0.0
+        grad[-1] += -1.0
+        if k_bound is not None:
+            r = u_box / (1.0 + zp)
+            grad[:-1] += r[1] - r[0]
+        return grad
+
+    if phase == "gradient":
+        return None, gradient()
+    val = prog.mu * nk - lam + float(np.add.reduce(Ut.diagonal() * phi))
+    if k_bound is not None:
         phi_box = -p * np.log1p(zp)
         val += float(u_box[0] @ phi_box[0] + u_box[1] @ phi_box[1])
-        r = u_box / (1.0 + zp)
-        grad[:-1] += r[1] - r[0]
-    return val, grad
+    if phase == "value":
+        return val, gradient
+    if phase is not None:
+        raise InputError(f"phase {phase!r} must be None, 'value' or 'gradient'")
+    return val, gradient()
 
 
 class _DomainScreen:
@@ -316,7 +342,7 @@ class _DomainScreen:
         P[:, 0] = 1.0
         for e in range(1, self._deg):
             np.multiply(P[:, e - 1], Kt, out=P[:, e])
-        return P.reshape(-1, Kt.shape[1])[self._cols].prod(axis=0).T
+        return np.multiply.reduce(P.reshape(-1, Kt.shape[1])[self._cols], axis=0).T
 
     def __call__(self, Y) -> np.ndarray:
         """One flag per row of Y: True where augmented_objective would raise
@@ -327,25 +353,12 @@ class _DomainScreen:
         # those of the row-major reductions
         Kt, lam = np.ascontiguousarray(Y[:, :-1].T), Y[:, -1]
         v = self._monomials(Kt)
-        bound = lam - np.ascontiguousarray((v @ self._D).T).min(axis=0)
+        bound = lam - np.minimum.reduce(np.ascontiguousarray((v @ self._D).T), axis=0)
         over = bound - self._tau * np.abs(lam) - np.abs(v) @ self._slack
         # augmented_objective's box test: max(-k_bound - k_i, k_i - k_bound)
         # is |k_i| - k_bound, rounded the same way
-        box = np.abs(Kt).max(axis=0, initial=-np.inf) - self.k_bound
+        box = np.maximum.reduce(np.abs(Kt), axis=0, initial=-math.inf) - self.k_bound
         return np.maximum(over, box) >= self._limit
-
-
-def _in_domain(fun_grad, Y, skip):
-    """Evaluate the rows of Y that `skip` does not flag, in order, and yield
-    (j, f, g) for each row inside the barrier domain."""
-    for j, y in enumerate(Y):
-        if skip[j]:
-            continue
-        try:
-            f, g = fun_grad(y)
-        except BarrierDomainError:
-            continue
-        yield j, f, g
 
 
 def _armijo(fun_grad, x, f, d, slope, screen):
@@ -353,15 +366,23 @@ def _armijo(fun_grad, x, f, d, slope, screen):
     and slope is the directional derivative.  `screen` (see _DomainScreen)
     is asked about all MAX_LINESEARCH steps before the first is evaluated,
     and the steps it flags are skipped; a step outside the barrier domain,
-    evaluated or skipped, counts as a trial and is backtracked from.
+    evaluated or skipped, counts as a trial and is backtracked from.  Each
+    evaluated step takes the value phase, fun_grad(y, phase="value"), and
+    only the accepted step runs its gradient phase.
 
     Returns (step, f, g, trials) at the accepted point, with f and g None
     when no step passes the Armijo test within MAX_LINESEARCH trials.
     """
     Y = x + _STEPS[:, None] * d
-    for j, f_try, g_try in _in_domain(fun_grad, Y, screen(Y)):
+    for j, flagged in enumerate(screen(Y).tolist()):
+        if flagged:
+            continue
+        try:
+            f_try, gradient = fun_grad(Y[j], phase="value")
+        except BarrierDomainError:
+            continue
         if f_try <= f + ARMIJO_C * _STEPS[j] * slope:
-            return float(_STEPS[j]), f_try, g_try, j + 1
+            return float(_STEPS[j]), f_try, gradient(), j + 1
     return None, None, None, MAX_LINESEARCH
 
 
@@ -371,9 +392,9 @@ def _fd_hessian(fun_grad, x, g, screen):
     Each coordinate's probes x + h0*_FD_LEVELS*e_i (+h, then -h, with h
     shrinking by 1/8 over 20 levels into the feasible strip) are one trial
     sequence.  `screen` is asked once about the probes of every coordinate
-    before any is evaluated; _in_domain walks each coordinate's unflagged
-    probes in order, the first inside the barrier domain gives the column,
-    and none leaves it zero."""
+    before any is evaluated; each coordinate's unflagged probes are
+    evaluated in order, the first inside the barrier domain gives the
+    column, and none leaves it zero."""
     n = x.size
     H = np.zeros((n, n))
     h = (1e-6 * (1.0 + np.abs(x)))[:, None] * _FD_LEVELS
@@ -381,9 +402,15 @@ def _fd_hessian(fun_grad, x, g, screen):
     Y[:] = x
     diag = np.arange(n)
     Y[diag, :, diag] += h
-    skip = screen(Y.reshape(-1, n)).reshape(n, -1)
+    skip = screen(Y.reshape(-1, n)).reshape(n, -1).tolist()
     for i in range(n):
-        for j, _, gp in _in_domain(fun_grad, Y[i], skip[i]):
+        for j, flagged in enumerate(skip[i]):
+            if flagged:
+                continue
+            try:
+                _, gp = fun_grad(Y[i, j])
+            except BarrierDomainError:
+                continue
             H[:, i] = (gp - g) / h[i, j]
             break
     return 0.5 * (H + H.T)
@@ -398,20 +425,23 @@ def _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at):
     screen_at do not change within the call, so every later iteration
     would repeat that one, and the cap would return the same point.  Each
     iteration's finite differences and line search skip the trial points
-    that screen_at(x) flags outside the barrier domain.
+    that screen_at(x) flags outside the barrier domain; the probes take
+    only the gradient phase, fun_grad(y, phase="gradient").
 
     Returns (x, f, g, iters, linesearch_trials, failed).
     """
     x = np.asarray(x0, dtype=float)
     iters = trials = 0
     failed = False
+    probe = lambda y: fun_grad(y, phase="gradient")
     for _ in range(max_iter):
-        if np.linalg.norm(g) <= tol * (1.0 + abs(f)):
+        if math.sqrt(g.dot(g)) <= tol * (1.0 + abs(f)):
             break
         screen = screen_at(x)
-        H = _fd_hessian(fun_grad, x, g, screen)
+        H = _fd_hessian(probe, x, g, screen)
         w, Q = np.linalg.eigh(H)
-        wmod = np.maximum(np.abs(w), 1e-8 * max(1.0, float(np.abs(w).max())))
+        aw = np.abs(w)
+        wmod = np.maximum(aw, 1e-8 * max(1.0, float(np.maximum.reduce(aw))))
         d = -(Q @ ((Q.T @ g) / wmod))
         slope = float(g @ d)
         if slope >= 0:
@@ -487,8 +517,8 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
     screen = _DomainScreen(prog, cfg.k_bound)
 
     for outer in range(1, cfg.max_outer + 1):
-        fun = lambda xx: augmented_objective(
-            prog, xx, U, p, k_bound=cfg.k_bound, u_box=u_box
+        fun = lambda xx, phase=None: augmented_objective(
+            prog, xx, U, p, k_bound=cfg.k_bound, u_box=u_box, phase=phase
         )
         screen_at = lambda xx: screen.at(xx, p)
         f, g = fun(x)
@@ -512,9 +542,8 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         z = _BOX_SIGNS * k - cfg.k_bound
         u_box = u_box * _phi_prime(z, p)
 
-        gnorm = float(np.linalg.norm(g))
         if (
-            gnorm <= TOL_STAT * (1.0 + abs(f))
+            math.sqrt(g.dot(g)) <= TOL_STAT * (1.0 + abs(f))
             and abs(f - prev_f) <= cfg.tol_outer * (1.0 + abs(f))
             and viol <= TOL_FEAS
         ):

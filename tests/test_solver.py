@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,26 @@ def test_augmented_objective_domain_error():
     prog = SofProgram(_const_form(-10.0 * np.eye(2)), mu=0.0, m=1, p=0)
     with pytest.raises(BarrierDomainError):
         augmented_objective(prog, np.array([0.0]), np.eye(2), 0.001)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("p", np.nan), ("p", 0.0), ("p", -1.0), ("p", np.inf),
+    ("k_bound", np.nan), ("k_bound", 0.0), ("k_bound", -1.0), ("k_bound", np.inf),
+])
+def test_augmented_objective_rejects_a_penalty_or_box_outside_its_range(name, value):
+    # NN1's power program at k = (0, 30), inside the barrier domain: a bad
+    # penalty or box raises before numpy computes with it, so never warns
+    prog = SofProgram(hermite_power(char_poly(NN1)), mu=1e-3, m=1, p=2)
+    x = [0.0, 30.0, float(np.linalg.eigvalsh(prog.h_eval([0.0, 30.0])).min()) - 1.0]
+    U = np.eye(prog.H.n) / prog.H.n
+    kwargs = {"p": 1e-3, "k_bound": 1e4}
+    assert np.isfinite(augmented_objective(prog, x, U, **kwargs)[0])
+    kwargs[name] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phase in (None, "value", "gradient"):
+            with pytest.raises(InputError, match="^" + re.escape(f"{name} {value:.8g} must")):
+                augmented_objective(prog, x, U, phase=phase, **kwargs)
 
 
 def _reference_constraint_eval(prog, x):
@@ -561,38 +582,85 @@ def test_solve_never_repeats_an_evaluation_within_an_outer_iteration(monkeypatch
 def test_a_solve_evaluates_the_partials_of_h_only_inside_the_objective(monkeypatch):
     # the outer records and the report read H(k) alone; constraint_eval,
     # h_row and partial_rows, which build every dH/dk_l, serve
-    # augmented_objective, and it builds them only at a point inside the
-    # domain: once per evaluation that returns
+    # augmented_objective.  h_row runs inside each call.  partial_rows runs
+    # once for each point whose gradient the solve uses: inside the call
+    # for each outer start and each probe inside the domain, and in the
+    # gradient phase run after the call returns for each accepted
+    # line-search step.  A rejected point, and a step that fails Armijo's
+    # test, build no partial.
     prog, cfg = _suite_program("NN1", "power")
     expected = pickle.dumps(solve_sof(prog, cfg))
-    depth, returned, builds = [], [], []
     evaluate, stack = solver.augmented_objective, SofProgram.h_row
-    partials = SofProgram.partial_rows
+    partials, armijo = SofProgram.partial_rows, solver._armijo
+    calls, searches, inside = [], [], []
 
-    def objective(*args, **kwargs):
-        depth.append(None)
+    def objective(prog, x, U, p, **kwargs):
+        call = {"x": np.asarray(x).tobytes(), "phase": kwargs.get("phase"),
+                "returned": False, "partials": 0}
+        calls.append(call)
+        inside.append(("call", call))
         try:
-            out = evaluate(*args, **kwargs)
+            out = evaluate(prog, x, U, p, **kwargs)
         finally:
-            depth.pop()
-        returned.append(None)
+            inside.pop()
+        call["returned"] = True
+        if call["phase"] != "value":
+            return out
+
+        def gradient():
+            inside.append(("gradient", call))
+            try:
+                return out[1]()
+            finally:
+                inside.pop()
+
+        return out[0], gradient
+
+    def line_search(fun_grad, x, f, d, slope, screen):
+        first = len(calls)
+        out = armijo(fun_grad, x, f, d, slope, screen)
+        accepted = None if out[0] is None else (x + out[0] * d).tobytes()
+        searches.append((first, len(calls), accepted))
         return out
 
     def h_row(self, k):
-        assert depth, "h_row was called outside augmented_objective"
+        assert inside and inside[-1][0] == "call", "h_row was called outside augmented_objective"
         return stack(self, k)
 
     def partial_rows(self, v, S):
-        assert depth, "partial_rows was called outside augmented_objective"
-        builds.append(None)
+        assert inside, "partial_rows was called outside augmented_objective"
+        inside[-1][1]["partials"] += 1
         return partials(self, v, S)
 
     _refuse_evaluation(monkeypatch, "constraint_eval")
     monkeypatch.setattr(solver, "augmented_objective", objective)
+    monkeypatch.setattr(solver, "_armijo", line_search)
     monkeypatch.setattr(SofProgram, "h_row", h_row)
     monkeypatch.setattr(SofProgram, "partial_rows", partial_rows)
-    assert pickle.dumps(solve_sof(prog, cfg)) == expected
-    assert len(builds) == len(returned) > 0
+    report = solve_sof(prog, cfg)
+    assert pickle.dumps(report) == expected
+    # the line searches evaluate values only, and build the partials of the
+    # step they accept, the last one they evaluate
+    in_search = set()
+    for first, end, accepted in searches:
+        steps = calls[first:end]
+        assert steps and all(c["phase"] == "value" for c in steps)
+        used = [c for c in steps if c["partials"]]
+        if accepted is None:
+            assert used == []
+        else:
+            assert used == [steps[-1]] and steps[-1]["partials"] == 1
+            assert steps[-1]["x"] == accepted and steps[-1]["returned"]
+        in_search.update(range(first, end))
+    # the outer starts and the probes build the partials of every point
+    # they evaluate inside the domain, once
+    others = [c for i, c in enumerate(calls) if i not in in_search]
+    assert [c["phase"] for c in others].count(None) == report.outer_iters
+    assert all(c["phase"] in (None, "gradient") for c in others)
+    assert all(c["partials"] == c["returned"] for c in others)
+    # the solve has rejected points, and steps that fail Armijo's test
+    assert not all(c["returned"] for c in calls)
+    assert any(c["returned"] and not c["partials"] for c in calls)
 
 
 def test_max_inner_caps_each_outer_iteration():
@@ -710,6 +778,86 @@ def _rejected(prog, y, p, k_bound):
     return False
 
 
+def _coalescing_program():
+    """H(k) = R diag(2 + k_1, 2 + k_2, 5) R' for a fixed rotation R: at
+    k_1 = k_2 two eigenvalues agree up to rounding."""
+    R = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) ** 2)[0]
+    parts = {(0, 0): R @ np.diag([2.0, 2.0, 5.0]) @ R.T,
+             (1, 0): np.outer(R[:, 0], R[:, 0]), (0, 1): np.outer(R[:, 1], R[:, 1])}
+    entries = [[{e: M[i, j] for e, M in parts.items()} for j in range(3)] for i in range(3)]
+    return SofProgram(pack_entries("power", entries, 2), mu=1e-3, m=1, p=2)
+
+
+def _entry_points(prog, x, U, p, **kwargs):
+    """The plain call, the value phase with its gradient callable, and the
+    gradient phase of augmented_objective at x: each as (value bytes,
+    gradient bytes), or as the message of its BarrierDomainError."""
+    out = []
+    for phase in (None, "value", "gradient"):
+        try:
+            val, grad = augmented_objective(prog, x, U, p, phase=phase, **kwargs)
+        except BarrierDomainError as exc:
+            out.append(str(exc))
+            continue
+        grad = grad() if phase == "value" else grad
+        out.append((None if val is None else np.float64(val).tobytes(), grad.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("which", range(len(SCREENED) + 2))
+def test_the_value_and_gradient_phases_are_the_plain_call_bit_for_bit(which, rng):
+    # the five Table-1 programs, planted 4x2x2, a program without gains and
+    # one whose spectrum coalesces: inside the barrier domain, outside it
+    # and past the gain box, without a box, with one and with multipliers
+    if which < len(SCREENED):
+        prog = SCREENED[which][0]
+    elif which == len(SCREENED):
+        A = rng.standard_normal((3, 3))
+        prog = SofProgram(_const_form(A @ A.T + np.eye(3)), mu=0.0, m=1, p=0)
+    else:
+        prog = _coalescing_program()
+    n, mp, kb = prog.H.n, prog.mp, 1e4
+    B = rng.standard_normal((n, n))
+    U = B @ B.T + np.eye(n)
+    U /= np.trace(U)
+    boxes = [{}, {"k_bound": kb}, {"k_bound": kb, "u_box": rng.uniform(0.1, 10.0, (2, mp))}]
+    seen = {"inside": 0, "barrier": 0, "gain box": 0, "coalesced": 0}
+    for scale in (0.1, 1.0, 30.0):
+        for _ in range(3):
+            p = 10.0 ** rng.uniform(-6.0, -1.0)
+            k = scale * rng.standard_normal(mp)
+            if which == len(SCREENED) + 1:
+                k[1] = k[0]
+            H = prog.h_eval(k)
+            eig = np.linalg.eigvalsh(H)
+            lams = [eig.min() - p * rng.uniform(0.01, 2.0) - 1e-12 * np.abs(H).sum(),
+                    eig.min() + p * rng.uniform(1.5, 3.0), eig.max() + 2.0 * p + 1.0]
+            past = k.copy()
+            if mp:
+                past[rng.integers(mp)] = rng.choice([-1.0, 1.0]) * kb * (1.0 + rng.uniform(0, 1e-3))
+            for gains, lam in [(k, lam) for lam in lams] + [(past, lams[0])]:
+                x = np.append(gains, lam)
+                for box in boxes:
+                    plain, value, gradient = _entry_points(prog, x, U, p, **box)
+                    assert value == plain
+                    if isinstance(plain, str):
+                        assert gradient == plain
+                        seen["gain box" if "gain box" in plain else "barrier"] += 1
+                        continue
+                    assert gradient == (None, plain[1])
+                    seen["inside"] += 1
+                    inside = (x, p, box)
+                    w = np.linalg.eigvalsh(-(H - lam * np.eye(n)))
+                    W = max(-w[0], w[-1])
+                    seen["coalesced"] += np.diff(w).min(initial=np.inf) <= 4e-12 * (1.0 + W)
+    assert seen["inside"] and seen["barrier"]
+    assert bool(seen["gain box"]) == (mp > 0)
+    assert bool(seen["coalesced"]) == (which == len(SCREENED) + 1)
+    x, p, box = inside
+    with pytest.raises(InputError, match="^phase 'both' must"):
+        augmented_objective(prog, x, U, p, phase="both", **box)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     which=st.integers(0, len(SCREENED) - 1),
@@ -813,63 +961,60 @@ def test_a_program_without_gains_takes_the_box_code_with_an_empty_box(rng):
 
 
 def test_trial_sequences_are_screened_once_before_their_first_evaluation():
-    # _in_domain walks the rows its flags leave, in order
-    outside = {1.0, 2.0, 4.0, 6.0}
-    evaluated = []
-
-    def fun_grad(y):
-        evaluated.append(float(y[0]))
-        if y[0] in outside:
-            raise BarrierDomainError("outside")
-        return -y[0], 2.0 * y
-
-    Y = np.arange(8.0)[:, None]
-    skip = np.isin(Y[:, 0], [2.0, 6.0])  # flags only rows outside
-    walked = [(j, f, g.tolist()) for j, f, g in solver._in_domain(fun_grad, Y, skip)]
-    assert walked == [(j, -float(j), [2.0 * j]) for j in (0, 3, 5, 7)]
-    assert evaluated == [0.0, 1.0, 3.0, 4.0, 5.0, 7.0]  # flagged rows never
-    # the walk stops where its consumer does
-    evaluated.clear()
-    assert next(solver._in_domain(fun_grad, Y, skip))[0] == 0
-    assert evaluated == [0.0]
-    evaluated.clear()
-    assert [j for j, _, _ in solver._in_domain(fun_grad, Y, np.zeros(len(Y), bool))] == [0, 3, 5, 7]
-    assert evaluated == Y[:, 0].tolist()  # no flags: every row
-
-    # the line search asks the screen once, before its first evaluation,
-    # about every step; steps 0, 1, 3, 4 and 8 are outside, the screen
-    # proves 1 and 4, and the Armijo test passes from step 6 on
+    # a line search walks the steps its flags leave, in order, takes the
+    # value of each and builds the gradient of the step it accepts only
     step_of = {s: j for j, s in enumerate(solver._STEPS.tolist())}
-    outside, passes = {0, 1, 3, 4, 8}, 6
-    asked = []
+    evaluated, built, asked = [], [], []
 
-    def fun_grad(y):
+    def fun_grad(y, phase=None):
+        assert phase == "value"
         j = step_of[float(y[0])]
         evaluated.append(j)
         if j in outside:
             raise BarrierDomainError("outside")
-        return (-1.0 if j >= passes else 0.0), np.ones(1)
+        return (-1.0 if j >= passes else 0.0), lambda: built.append(j) or np.ones(1)
 
     def screen(rows):
         asked.append((list(evaluated), [step_of[float(y[0])] for y in rows]))
-        return np.array([step_of[float(y[0])] in (1, 4) for y in rows])
+        return np.array([step_of[float(y[0])] in flags for y in rows])
 
+    def search(screened):
+        evaluated.clear()
+        built.clear()
+        asked.clear()
+        return solver._armijo(fun_grad, np.zeros(1), 0.0, np.ones(1), -1.0,
+                              screen if screened else lambda Y: np.zeros(len(Y), bool))
+
+    # steps 1, 2, 4 and 6 are outside, the screen flags 2 and 6 (only
+    # steps outside), and the Armijo test passes from step 7 on
+    outside, flags, passes = {1, 2, 4, 6}, {2, 6}, 7
+    out = search(True)
+    assert out[0] == solver._STEPS[7] and out[1] == -1.0 and out[3] == 8
+    assert out[2].tolist() == [1.0] and built == [7]
+    assert evaluated == [0, 1, 3, 4, 5, 7]  # flagged steps never
+    # the walk stops where the Armijo test passes
+    passes = 0
+    assert search(True)[3] == 1
+    assert evaluated == [0] and built == [0]
+    passes = 7
+    assert search(False)[3] == 8
+    assert evaluated == list(range(8)) and built == [7]  # no flags: every step
+
+    # the line search asks the screen once, before its first evaluation,
+    # about every step; steps 0, 1, 3, 4 and 8 are outside, the screen
+    # proves 1 and 4, and the Armijo test passes from step 6 on
+    outside, flags, passes = {0, 1, 3, 4, 8}, {1, 4}, 6
     every_step = list(range(solver.MAX_LINESEARCH))
     for screened, walk in ((True, [0, 2, 3, 5, 6]), (False, [0, 1, 2, 3, 4, 5, 6])):
-        evaluated.clear()
-        asked.clear()
-        out = solver._armijo(fun_grad, np.zeros(1), 0.0, np.ones(1), -1.0,
-                             screen if screened else lambda Y: np.zeros(len(Y), bool))
+        out = search(screened)
         assert out[0] == solver._STEPS[passes] and out[1] == -1.0 and out[3] == passes + 1
-        assert evaluated == walk
+        assert evaluated == walk and built == [passes]
         assert asked == ([([], every_step)] if screened else [])
     # no step passes: the skipped steps count as trials too
     passes = solver.MAX_LINESEARCH
-    evaluated.clear()
-    asked.clear()
-    out = solver._armijo(fun_grad, np.zeros(1), 0.0, np.ones(1), -1.0, screen)
+    out = search(True)
     assert out == (None, None, None, solver.MAX_LINESEARCH)
-    assert evaluated == [j for j in every_step if j not in (1, 4)]
+    assert evaluated == [j for j in every_step if j not in (1, 4)] and built == []
     assert asked == [([], every_step)]
 
 
