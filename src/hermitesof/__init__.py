@@ -23,7 +23,6 @@ from .errors import (
 )
 from .hermite import (
     HermiteForm,
-    NodeSet,
     cond_frobenius,
     hermite_lagrange,
     hermite_power,
@@ -51,6 +50,7 @@ from .solver import (
     verify_solution,
 )
 from .stability import (
+    NodeSet,
     TargetSpec,
     build_target,
     nodes_from_target,

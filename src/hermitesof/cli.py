@@ -94,7 +94,8 @@ def cmd_cond(args) -> int:
     # huge gains overflow q(K) or H(K): an input error, not a row of nan
     with np.errstate(over="ignore", invalid="ignore"):
         c = q.at_gains(gains)
-        Mp = hermite_power(c).eval_at()
+        HP = hermite_power(c)
+        Mp = HP.eval_at()
     if not (np.isfinite(c).all() and np.isfinite(Mp).all()):
         raise InputError(
             f"gains K = {args.K or 0} give a non-finite coefficient of q or entry of H"
@@ -112,7 +113,7 @@ def cmd_cond(args) -> int:
     try:
         target = target_poly(c, spec) if spec is not None else c
         nodes = nodes_from_target(target)
-        Ml = hermite_lagrange(c, nodes).eval_at()
+        Ml = hermite_lagrange(HP, nodes).eval_at()
         rows.append(("lagrange", f"{cond_frobenius(Ml):.8g}"))
         # scaled by c's own Lagrange form, not the target's
         S = scaling_from_numeric(Ml, nodes)

@@ -17,90 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import stability
 from .errors import DegenerateInputError, InputError, UnsupportedNodeError
 from .polynomials import CharPoly, MultiPoly, poly_degree, split_re_im
+from .stability import NodeSet
 
-_NODE_TOL = 1e-9
 _BLOCK = 1 << 20  # floats in one block of congruence products
-
-
-def _node_kind(u: complex) -> str:
-    scale = 1.0 + abs(u)
-    if abs(u.imag) <= _NODE_TOL * scale:
-        return "real"
-    if abs(u.real) <= _NODE_TOL * scale:
-        return "imag"
-    return "complex"
-
-
-@dataclass(frozen=True)
-class NodeSet:
-    """Ordered interpolation nodes, conjugate pairs adjacent."""
-
-    values: tuple[complex, ...]
-    rep_index: tuple[int, ...]  # occurrence counter within a group of equal nodes
-    kinds: tuple[str, ...]
-
-    @classmethod
-    def from_values(cls, values: Sequence[complex]) -> "NodeSet":
-        vals = [complex(v) for v in values]
-        kinds = [_node_kind(v) for v in vals]
-        reals = sorted(
-            (v.real for v, k in zip(vals, kinds) if k == "real"),
-            key=lambda x: (abs(x), x < 0),
-        )
-        others = [v for v, k in zip(vals, kinds) if k != "real"]
-        # pair conjugates, positive imaginary part first
-        pos = sorted(
-            (v for v in others if v.imag > 0), key=lambda v: (abs(v.real), abs(v.imag))
-        )
-        neg = list(v for v in others if v.imag < 0)
-        ordered: list[complex] = [complex(r) for r in reals]
-        for v in pos:
-            match = None
-            for w in neg:
-                if abs(w - v.conjugate()) <= _NODE_TOL * (1.0 + abs(v)):
-                    match = w
-                    break
-            if match is None:
-                raise UnsupportedNodeError(
-                    f"node {v} has no complex-conjugate partner"
-                )
-            neg.remove(match)
-            ordered.extend([v, match])
-        if neg:
-            raise UnsupportedNodeError(
-                f"nodes {neg} have no complex-conjugate partners"
-            )
-
-        rep: list[int] = []
-        for i, v in enumerate(ordered):
-            r = 0
-            for w in ordered[:i]:
-                if abs(v - w) <= _NODE_TOL * (1.0 + abs(w)):
-                    r += 1
-            rep.append(r)
-        return cls(
-            values=tuple(ordered),
-            rep_index=tuple(rep),
-            kinds=tuple(_node_kind(v) for v in ordered),
-        )
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def blocks(self) -> list[tuple[int, int]]:
-        """(start, size) block pattern: 1x1 for real nodes, 2x2 for pairs."""
-        out = []
-        i = 0
-        while i < len(self.values):
-            if self.kinds[i] == "real":
-                out.append((i, 1))
-                i += 1
-            else:
-                out.append((i, 2))
-                i += 2
-        return out
 
 
 @dataclass
@@ -157,14 +79,6 @@ class HermiteForm:
 
 
 # -- power basis ---------------------------------------------------------
-
-
-def _terms(q) -> tuple[np.ndarray, np.ndarray]:
-    """(E, Q) of a CharPoly, or of a numeric coefficient array as a
-    polynomial in no gains."""
-    if isinstance(q, CharPoly):
-        return q.E, q.Q
-    return np.zeros((1, 0), dtype=np.int64), np.asarray(q)[:, None]
 
 
 @dataclass(frozen=True)
@@ -241,7 +155,10 @@ def hermite_power(q) -> HermiteForm:
     power (see `_PowerPlan`) adds nothing to a finite q's sums and is
     skipped.
     """
-    Es, Q = _terms(q)
+    if isinstance(q, CharPoly):
+        Es, Q = q.E, q.Q
+    else:  # a polynomial in no gains
+        Es, Q = np.zeros((1, 0), dtype=np.int64), np.asarray(q)[:, None]
     n = poly_degree(Q)
     if n < 1:
         raise DegenerateInputError("degree must be at least 1")
@@ -299,12 +216,11 @@ def _congruence_weights(nodes: NodeSet) -> tuple[np.ndarray, np.ndarray | None]:
     return Wr, (Wi if Wi.any() else None)
 
 
-def _lagrange(q, nodes: NodeSet, weights=None) -> tuple[HermiteForm, tuple]:
+def _lagrange(HP: HermiteForm, nodes: NodeSet, weights=None) -> tuple[HermiteForm, tuple]:
     """`hermite_lagrange`, with the node weights of `_congruence_weights`
     taken as given or built after the input checks; returns the form and
     the weights."""
-    _, Q = _terms(q)
-    n = poly_degree(Q)
+    n = HP.n
     if len(nodes) != n:
         raise InputError(f"need {n} nodes, got {len(nodes)}")
     if any(k == "complex" for k in nodes.kinds):
@@ -312,7 +228,6 @@ def _lagrange(q, nodes: NodeSet, weights=None) -> tuple[HermiteForm, tuple]:
             "general complex nodes are not allowed in the real symmetric form"
         )
 
-    HP = hermite_power(q)
     Wr, Wi = weights = weights or _congruence_weights(nodes)
     # C_L[t] = Wrow^T C_P[t] Wcol on the upper triangle, its real and
     # imaginary parts summed apart from 0.0, p-major, r-minor: the order
@@ -355,12 +270,12 @@ def _lagrange(q, nodes: NodeSet, weights=None) -> tuple[HermiteForm, tuple]:
     return HermiteForm(basis="lagrange", E=HP.E[keep], C=C, nodes=nodes), weights
 
 
-def hermite_lagrange(q, nodes: NodeSet) -> HermiteForm:
-    """Hermite matrix of q in the Lagrange basis over the given nodes: the
-    node-weight congruence W* H^P W of the power form, where column j of W
-    is the r_j-th normalized derivative of (1, u, ..., u^(n-1)) at node u_j
-    and r_j counts the earlier copies of a repeated node (W is the
-    Vandermonde matrix V for distinct nodes).
+def hermite_lagrange(HP: HermiteForm, nodes: NodeSet) -> HermiteForm:
+    """Hermite matrix in the Lagrange basis over the given nodes: the
+    node-weight congruence W* H^P W of the caller's power form H^P = HP,
+    where column j of W is the r_j-th normalized derivative of
+    (1, u, ..., u^(n-1)) at node u_j and r_j counts the earlier copies of
+    a repeated node (W is the Vandermonde matrix V for distinct nodes).
 
     Nodes must be real or purely imaginary conjugate pairs.  The product's
     real and imaginary parts are summed apart, the imaginary part only
@@ -373,7 +288,7 @@ def hermite_lagrange(q, nodes: NodeSet) -> HermiteForm:
     positive definiteness is necessary for that of V* H^P V but not
     sufficient.
     """
-    return _lagrange(q, nodes)[0]
+    return _lagrange(HP, nodes)[0]
 
 
 # -- scaling ---------------------------------------------------------------
@@ -399,16 +314,15 @@ def scaled_hermite(
     """Scaled Lagrange-basis Hermite matrix of q (a CharPoly or a real
     coefficient array): nodes and the normalizing diagonal both come from
     the target polynomial's coefficient array, the nodes from the part
-    that `nodes_from_target` picks unless given.  This is the one place a
-    Lagrange form is scaled.
+    that `nodes_from_target` picks unless given.  It builds the target's
+    and q's power forms and the node weights once each, and is the one
+    place a Lagrange form is scaled.
     """
     if nodes is None:
-        from .stability import nodes_from_target
-
-        nodes = nodes_from_target(target, part=part)
-    HT, weights = _lagrange(target, nodes)
+        nodes = stability.nodes_from_target(target, part=part)
+    HT, weights = _lagrange(hermite_power(target), nodes)
     S = scaling_from_numeric(HT.eval_at(), nodes)
-    HL, _ = _lagrange(q, nodes, weights)
+    HL, _ = _lagrange(hermite_power(q), nodes, weights)
     return HermiteForm(
         basis="scaled-lagrange", E=HL.E, C=HL.C * np.outer(S, S), nodes=nodes, scaling=S
     )

@@ -5,7 +5,7 @@ H(k) - lambda*I >= 0.  The constraint is handled through a shifted spectral
 log barrier phi(t) = -p*log(1 - t/p) with multiplier and penalty updates in
 an outer loop and, inside, damped Newton steps on a finite-differenced
 Hessian with Armijo backtracking.  An inner solve stops when ||grad|| <=
-tol_inner*(1 + |f|), after max_inner steps, or after a step that leaves x,
+tol_inner*(1 + |f|), after MAX_INNER steps, or after a step that leaves x,
 f and the gradient unchanged bit for bit: U and p are fixed inside it, so
 every later step would repeat that one.  By default U starts at tr U = 1,
 the KKT normalization (dL/dlambda = -1 + tr U), and a solve whose tr U
@@ -123,6 +123,7 @@ TOL_STAT = 1e-3  # outer stationarity test ||grad|| <= TOL_STAT * (1 + |f|)
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_LINESEARCH = 60
+MAX_INNER = 100  # Newton steps of one inner solve
 P_MIN = 1e-12  # floor of the penalty parameter
 STALL_WINDOW = 10  # outer iterations with lambda pinned <= 0 before giving up
 U_DIVERGED = 1e6  # tr U past this ends a solve as diverged; a KKT point has tr U = 1
@@ -143,7 +144,6 @@ class SolveConfig:
     tol_outer: float = 1e-7
     tol_inner: float = 1e-6
     max_outer: int = 50
-    max_inner: int = 100
     # gains are boxed to |k_i| <= k_bound so programs whose margin grows
     # without bound (e.g. a diagonal entry linear in a gain) still admit a
     # KKT point; the box is handled with the same shifted penalty
@@ -490,10 +490,8 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         tol = getattr(cfg, name)
         if not 0 <= tol < np.inf:
             raise InputError(f"{name} {tol:.8g} must be non-negative and finite")
-    for name in ("max_outer", "max_inner"):
-        cap = getattr(cfg, name)
-        if not (isinstance(cap, numbers.Integral) and cap >= 1):
-            raise InputError(f"{name} {cap} must be an integer >= 1")
+    if not (isinstance(cfg.max_outer, numbers.Integral) and cfg.max_outer >= 1):
+        raise InputError(f"max_outer {cfg.max_outer} must be an integer >= 1")
     eig_min = float(np.linalg.eigvalsh(prog.h_eval(k0)).min())
     lam0 = cfg.lam0 if cfg.lam0 is not None else eig_min - 1.0
     lam_max = eig_min + cfg.p0 * (1.0 - 1e-12)
@@ -523,7 +521,7 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         screen_at = lambda xx: screen.at(xx, p)
         f, g = fun(x)
         x, _, g, iters, trials, failed = _newton_inner(
-            fun, x, f, g, cfg.tol_inner, cfg.max_inner, screen_at
+            fun, x, f, g, cfg.tol_inner, MAX_INNER, screen_at
         )
         inner_total += iters
         ls_total += trials

@@ -5,15 +5,16 @@ Polynomials here are numeric: arrays of ascending coefficients."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError, NodeCountError
-from .hermite import NodeSet
+from .errors import DegenerateInputError, InputError, NodeCountError, UnsupportedNodeError
 from .polynomials import poly_degree, poly_from_roots, split_re_im
 
 _MARGINAL = 1e-9
 _REAL_TOL = 1e-6
+_NODE_TOL = 1e-9
 
 
 def _horner(c: np.ndarray, s: complex) -> complex:
@@ -29,7 +30,8 @@ def _horner(c: np.ndarray, s: complex) -> complex:
 def roots(q) -> np.ndarray:
     """Roots of the polynomial with ascending coefficients q via the
     companion-matrix eigenvalues, with one Newton polishing step to sharpen
-    agreement with printed reference values."""
+    agreement with printed reference values.  A root whose polished value
+    is not finite (q or q' overflows at a huge root) is kept unpolished."""
     q = np.asarray(q)
     c = q.astype(complex)
     d = poly_degree(q)
@@ -40,11 +42,13 @@ def roots(q) -> np.ndarray:
     rts = np.roots(c[d::-1])
     dq = q[1:] * np.arange(1, len(q))
     polished = []
-    for r in rts:
-        fp = _horner(dq, r)
-        if abs(fp) > 1e-12:
-            r = r - _horner(q, r) / fp
-        polished.append(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in rts:
+            fp = _horner(dq, r)
+            if abs(fp) > 1e-12:
+                step = r - _horner(q, r) / fp
+                r = step if np.isfinite(step) else r
+            polished.append(r)
     return np.asarray(polished)
 
 
@@ -92,6 +96,85 @@ def build_target(open_loop_poles, spec: TargetSpec) -> np.ndarray:
         else:
             out.append(complex(spec.shift, pole.imag))
     return poly_from_roots(out)
+
+
+def _node_kind(u: complex) -> str:
+    scale = 1.0 + abs(u)
+    if abs(u.imag) <= _NODE_TOL * scale:
+        return "real"
+    if abs(u.real) <= _NODE_TOL * scale:
+        return "imag"
+    return "complex"
+
+
+@dataclass(frozen=True)
+class NodeSet:
+    """Ordered interpolation nodes, conjugate pairs adjacent."""
+
+    values: tuple[complex, ...]
+    rep_index: tuple[int, ...]  # occurrence counter within a group of equal nodes
+    kinds: tuple[str, ...]
+
+    @classmethod
+    def from_values(cls, values: Sequence[complex]) -> "NodeSet":
+        vals = [complex(v) for v in values]
+        kinds = [_node_kind(v) for v in vals]
+        reals = sorted(
+            (v.real for v, k in zip(vals, kinds) if k == "real"),
+            key=lambda x: (abs(x), x < 0),
+        )
+        others = [v for v, k in zip(vals, kinds) if k != "real"]
+        # pair conjugates, positive imaginary part first
+        pos = sorted(
+            (v for v in others if v.imag > 0), key=lambda v: (abs(v.real), abs(v.imag))
+        )
+        neg = list(v for v in others if v.imag < 0)
+        ordered: list[complex] = [complex(r) for r in reals]
+        for v in pos:
+            match = None
+            for w in neg:
+                if abs(w - v.conjugate()) <= _NODE_TOL * (1.0 + abs(v)):
+                    match = w
+                    break
+            if match is None:
+                raise UnsupportedNodeError(
+                    f"node {v} has no complex-conjugate partner"
+                )
+            neg.remove(match)
+            ordered.extend([v, match])
+        if neg:
+            raise UnsupportedNodeError(
+                f"nodes {neg} have no complex-conjugate partners"
+            )
+
+        rep: list[int] = []
+        for i, v in enumerate(ordered):
+            r = 0
+            for w in ordered[:i]:
+                if abs(v - w) <= _NODE_TOL * (1.0 + abs(w)):
+                    r += 1
+            rep.append(r)
+        return cls(
+            values=tuple(ordered),
+            rep_index=tuple(rep),
+            kinds=tuple(_node_kind(v) for v in ordered),
+        )
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def blocks(self) -> list[tuple[int, int]]:
+        """(start, size) block pattern: 1x1 for real nodes, 2x2 for pairs."""
+        out = []
+        i = 0
+        while i < len(self.values):
+            if self.kinds[i] == "real":
+                out.append((i, 1))
+                i += 1
+            else:
+                out.append((i, 2))
+                i += 2
+        return out
 
 
 def nodes_from_target(target: np.ndarray, part: str | None = None) -> NodeSet:

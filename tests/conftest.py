@@ -134,7 +134,7 @@ def congruence_check(q, nodes: NodeSet) -> float:
     numeric coefficient array q."""
     HP = hermite_power(q).eval_at()
     n = len(HP)
-    HL = hermite_lagrange(q, nodes).eval_at()
+    HL = hermite_lagrange(hermite_power(q), nodes).eval_at()
     V = np.vander(np.asarray(nodes.values, dtype=complex), N=n, increasing=True).T
     ref = V.conj().T @ HP @ V
     return float(np.max(np.abs(HL - ref)))

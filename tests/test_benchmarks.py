@@ -175,11 +175,11 @@ def test_run_experiment_deterministic():
 
 
 def test_run_single_leaves_solver_config_unchanged():
-    scfg = SolveConfig(max_outer=1, max_inner=2)
+    scfg = SolveConfig(max_outer=1)
     cfg = ExperimentConfig("power", 1e-3, k0=[0.0, 30.0], lam0=-1.0, solver=scfg)
     run_single("NN1", get_plant("NN1"), cfg)
     assert scfg.k0 is None and scfg.lam0 is None
-    assert scfg == SolveConfig(max_outer=1, max_inner=2)
+    assert scfg == SolveConfig(max_outer=1)
 
 
 def test_run_single_takes_k0_and_lam0_from_the_solver_config():

@@ -199,7 +199,7 @@ def test_power_entries_symmetric_symbolically():
 
 def test_hermite_lagrange_nn5_block_diagonal():
     nodes = nodes_from_target(NN5_OL, part="im")
-    H = hermite_lagrange(NN5_OL, nodes).eval_at()
+    H = hermite_lagrange(hermite_power(NN5_OL), nodes).eval_at()
     # five real nodes then one conjugate pair; printed values compared as a
     # multiset since the reference lists the real nodes in a different order
     ref_diag = sorted([-2826.9473, 4.1032866e10, 4.4286011e9, 4.1032866e10, 4.4286011e9])
@@ -215,7 +215,7 @@ def test_hermite_lagrange_nn5_block_diagonal():
 
 def test_hermite_lagrange_single_node():
     q = np.array([1.0, 1.0])  # s + 1
-    H = hermite_lagrange(q, NodeSet.from_values([0.0]))
+    H = hermite_lagrange(hermite_power(q), NodeSet.from_values([0.0]))
     assert H.n == 1
     assert H.entry(1, 1).terms == {(): 1.0}
 
@@ -224,7 +224,7 @@ def test_hermite_lagrange_nn1_first_entry():
     # node u=0 gives a'(0) b(0) = (k2 - 5k1 - 13) k2
     q = char_poly(NN1)
     nodes = NodeSet.from_values([0.0, np.sqrt(11.0), -np.sqrt(11.0)])
-    H = hermite_lagrange(q, nodes)
+    H = hermite_lagrange(hermite_power(q), nodes)
     ref = {(0, 1): -13.0, (1, 1): -5.0, (0, 2): 1.0}
     got = H.entry(1, 1).terms
     for mono in set(got) | set(ref):
@@ -234,7 +234,7 @@ def test_hermite_lagrange_nn1_first_entry():
 def test_hermite_lagrange_of_a_form_without_monomials():
     # q(0) = s^3 - 13s of NN1 has no real part, so its power form is zero
     q = char_poly(NN1).at_gains([0.0, 0.0])
-    H = hermite_lagrange(q, nodes_from_target(q, part="im"))
+    H = hermite_lagrange(hermite_power(q), nodes_from_target(q, part="im"))
     assert H.E.shape == (0, 0) and H.C.shape == (0, 3, 3)
     assert not H.eval_at().any()
 
@@ -243,7 +243,7 @@ def test_hermite_lagrange_triple_node_formulas(rng):
     # n = 3 with one node of multiplicity three: normalized-derivative entries
     q = random_stable_poly(rng, 3)
     x = 0.7
-    H = hermite_lagrange(q, NodeSet.from_values([x, x, x])).eval_at()
+    H = hermite_lagrange(hermite_power(q), NodeSet.from_values([x, x, x])).eval_at()
     pa, pb = split_re_im(q)
 
     def d(p, r):
@@ -272,13 +272,13 @@ def test_hermite_lagrange_rejects_general_complex_nodes():
     q = np.array([2.0, 2.0, 1.0])
     nodes = NodeSet.from_values([1.0 + 1.0j, 1.0 - 1.0j])
     with pytest.raises(UnsupportedNodeError):
-        hermite_lagrange(q, nodes)
+        hermite_lagrange(hermite_power(q), nodes)
 
 
 def test_hermite_lagrange_node_count_mismatch():
     q = np.array([1.0, 2.0, 1.0])
     with pytest.raises(InputError):
-        hermite_lagrange(q, NodeSet.from_values([0.0]))
+        hermite_lagrange(hermite_power(q), NodeSet.from_values([0.0]))
 
 
 def test_congruence_check_random(rng):
@@ -309,7 +309,7 @@ def test_off_block_entries_vanish(rng):
         q = random_stable_poly(rng, deg)
         # the imaginary part only carries n roots when the degree is odd
         nodes = nodes_from_target(q, part="im" if deg % 2 else "re")
-        H = hermite_lagrange(q, nodes).eval_at()
+        H = hermite_lagrange(hermite_power(q), nodes).eval_at()
         scale = np.linalg.norm(H, "fro")
         mask = np.ones_like(H, dtype=bool)
         for start, size in nodes.blocks():
@@ -330,8 +330,8 @@ def test_repeated_node_perturbation_limit(rng):
         x = float(rng.uniform(0.3, 1.5))
         third = float(rng.uniform(2.0, 3.0))
         eps = 1e-5
-        Hd = hermite_lagrange(q, NodeSet.from_values([x, x, third])).eval_at()
-        Hp = hermite_lagrange(q, NodeSet.from_values([x, x + eps, third])).eval_at()
+        Hd = hermite_lagrange(hermite_power(q), NodeSet.from_values([x, x, third])).eval_at()
+        Hp = hermite_lagrange(hermite_power(q), NodeSet.from_values([x, x + eps, third])).eval_at()
         M = np.eye(3)
         M[0, 1] = 1.0
         M[1, 1] = eps
@@ -345,7 +345,7 @@ def test_repeated_node_perturbation_limit(rng):
 
 def test_scaling_from_numeric_nn5():
     nodes = nodes_from_target(NN5_OL, part="im")
-    HL = hermite_lagrange(NN5_OL, nodes).eval_at()
+    HL = hermite_lagrange(hermite_power(NN5_OL), nodes).eval_at()
     S = scaling_from_numeric(HL, nodes)
     HS = S[:, None] * HL * S[None, :]
     ref = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
@@ -455,7 +455,7 @@ def test_build_then_evaluate_matches_evaluate_then_build(rng):
         S = HS.scaling
         for _ in range(10):
             k = rng.standard_normal(q.nvars)
-            ref = S[:, None] * hermite_lagrange(q.at_gains(k), nodes).eval_at() * S[None, :]
+            ref = S[:, None] * hermite_lagrange(hermite_power(q.at_gains(k)), nodes).eval_at() * S[None, :]
             assert np.max(np.abs(HS.eval_at(k) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -588,7 +588,8 @@ def test_char_poly_matches_the_reference_byte_for_byte():
 def test_lagrange_and_scaled_forms_match_the_reference_byte_for_byte():
     kinds = set()
     for q, target, nodes in _lagrange_cases():
-        for build, ref in ((hermite_lagrange, reference_hermite_lagrange),
+        for build, ref in ((lambda q, nodes: hermite_lagrange(hermite_power(q), nodes),
+                            reference_hermite_lagrange),
                            (lambda q, nodes: scaled_hermite(q, target, nodes=nodes),
                             lambda q, nodes: reference_scaled_hermite(q, target, nodes))):
             got, want = _outcome(build, q, nodes), _outcome(ref, q, nodes)
@@ -618,7 +619,7 @@ def test_changing_returned_arrays_leaves_the_next_build_unchanged():
 
     def build():
         q = char_poly(plant)
-        return q, [hermite_power(q), hermite_lagrange(q, nodes),
+        return q, [hermite_power(q), hermite_lagrange(hermite_power(q), nodes),
                    scaled_hermite(q, target, nodes=nodes)]
 
     q, forms = build()

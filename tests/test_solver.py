@@ -112,7 +112,7 @@ def test_solve_rejects_a_start_outside_the_barrier_domain(monkeypatch):
     ("u0", np.inf), ("u0", 0.0), ("u0", -1.0), ("u0", np.nan),
     ("sigma", 5.0), ("sigma", 0.0), ("sigma", -0.3), ("sigma", np.nan),
     pytest.param("k0", np.zeros((1, 2)), id="k0-2d"),
-    ("max_outer", -3), ("max_outer", 2.5), ("max_inner", -1),
+    ("max_outer", -3), ("max_outer", 2.5),
 ])
 def test_solve_rejects_a_setting_outside_its_range(monkeypatch, name, value):
     (system, plant, cfg), = [
@@ -532,6 +532,16 @@ def test_verify_solution_open_loop_ac4():
     assert len(poles) == 4
 
 
+def test_verify_solution_keeps_a_root_whose_polish_overflows():
+    # q(s) at K = 1e160 has a root near -1e160, where q and q' overflow;
+    # the other two poles are 3.75 and 0.25
+    poles, stable, margin = verify_solution(NN1.q, [[1e160, 1e160]])
+    assert np.isfinite(poles).all() and not stable
+    for want in (3.75, 0.25):
+        assert np.min(np.abs(poles - want)) <= 1e-8 * want
+    assert relerr(margin, 3.75) <= 1e-8
+
+
 def test_verify_solution_after_solve():
     report = solve_sof(
         _ac4_scaled_program(), SolveConfig(k0=[0.0, 0.0], u0=1.0 / 9)
@@ -663,11 +673,12 @@ def test_a_solve_evaluates_the_partials_of_h_only_inside_the_objective(monkeypat
     assert any(c["returned"] and not c["partials"] for c in calls)
 
 
-def test_max_inner_caps_each_outer_iteration():
-    cfg = SolveConfig(k0=[0.0, 0.0], u0=1.0 / 9, max_inner=3, max_outer=4)
+def test_max_inner_caps_each_outer_iteration(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_INNER", 3)
+    cfg = SolveConfig(k0=[0.0, 0.0], u0=1.0 / 9, max_outer=4)
     report = solve_sof(_ac4_scaled_program(), cfg)
     assert report.outer_iters == 4
-    assert report.inner_iters <= cfg.max_inner * report.outer_iters
+    assert report.inner_iters <= solver.MAX_INNER * report.outer_iters
 
 
 def test_inner_loop_stops_on_its_tolerance_before_the_cap(monkeypatch):
@@ -683,7 +694,7 @@ def test_inner_loop_stops_on_its_tolerance_before_the_cap(monkeypatch):
         return out
 
     monkeypatch.setattr(solver, "_newton_inner", inner)
-    row = run_single(name, plant, dataclasses.replace(cfg, solver=SolveConfig(max_inner=100)))
+    row = run_single(name, plant, dataclasses.replace(cfg, solver=SolveConfig()))
     assert row.status == "converged"
     assert row.inner < 100 * row.outer
     # an inner solve that stops on an unchanged point also ends below the
