@@ -12,29 +12,20 @@ the KKT normalization (dL/dlambda = -1 + tr U), and a solve whose tr U
 passes U_DIVERGED after an outer update and convergence test ends as
 diverged.
 
-One evaluation of the augmented objective has two phases.  The value
-phase is the gain-box test (an empty box without gains), H(k)
-(SofProgram.h_row), eigh, the barrier-domain test, Q'UQ, phi and the
-value; a point outside the domain ends there.  The gradient phase is every
-dH/dk_l (SofProgram.partial_rows), the divided differences of phi, the
-congruences Q'(dG)Q and the gradient.  A line-search trial takes the value
-phase, and only the step Armijo's test accepts runs the gradient phase,
-after the evaluation returns; a finite-difference probe skips the value;
-the start of each inner solve takes both.  The results are bit-for-bit
-those of composing the reference constraint_eval, the objective and phi
-(as -p*log1p(-t/p)).  Each outer iteration records
-(lambda, min eig of G = H(k) - lambda*I, f) from H(k) alone
-(SofProgram.h_eval), and the report reads the last record.
+augmented_objective alone decides which points lie in the barrier domain,
+the start among them: a finite (k0, lam0) is refused as input exactly when
+its first evaluation, the one that begins the solve, rejects it.  That
+evaluation has a value phase and a gradient phase: a line-search trial
+takes the value phase, and only the step Armijo's test accepts runs the
+gradient phase; a finite-difference probe skips the value; the start of
+each inner solve takes both.  Each outer iteration records (lambda, min eig
+of G = H(k) - lambda*I, f) from H(k) alone (SofProgram.h_eval), and the
+report reads the last record.
 
-Trial points outside the barrier domain are rejected.  The 40
-finite-difference probes of one coordinate and the backtracking steps of
-one line search are each a fixed sequence, evaluated in order.  Before any
-point of an inner iteration's probes or of its line search is evaluated,
-a domain screen proves points outside the domain in one batch from a
-Rayleigh-quotient bound, and those points are skipped unevaluated.  The
-screen flags only points the objective rejects, so the first accepted
-point of every sequence, and so every iterate, is the same as without it.
-A skipped line-search step still counts as a trial.
+Before an inner iteration evaluates its probes or its line-search steps,
+_DomainScreen proves some of them outside the domain in one batch, and
+those are skipped unevaluated.  It flags only points the objective
+rejects, so every iterate is the same as without it.
 """
 
 from __future__ import annotations
@@ -132,7 +123,8 @@ _STEPS = BACKTRACK ** np.arange(MAX_LINESEARCH)
 # the finite-difference probe offsets in units of h0: +1, -1, +1/8, -1/8, ...
 # over 20 levels; powers of two, so h0 * _FD_LEVELS is exact
 _FD_LEVELS = np.repeat(0.125 ** np.arange(20), 2) * np.tile([1.0, -1.0], 20)
-_STEPS.flags.writeable = _FD_LEVELS.flags.writeable = False
+_BOX_SIGNS = np.array([[-1.0], [1.0]])  # z = (-k - k_bound, k - k_bound)
+_STEPS.flags.writeable = _FD_LEVELS.flags.writeable = _BOX_SIGNS.flags.writeable = False
 
 
 @dataclass
@@ -186,10 +178,6 @@ def _phi_prime(z, p):
     return np.clip(1.0 / np.clip(1.0 - z / p, 1e-12, None), 1e-12, 1e12)
 
 
-_BOX_SIGNS = np.array([[-1.0], [1.0]])  # z = (-k - k_bound, k - k_bound)
-_BOX_SIGNS.flags.writeable = False
-
-
 def augmented_objective(
     prog: SofProgram,
     x,
@@ -218,6 +206,8 @@ def augmented_objective(
     composing constraint_eval, the objective mu*||k|| - lambda with its
     gradient (mu*k/||k||, -1) and phi evaluated as -p*log1p(-t/p), without
     their calls."""
+    if phase not in (None, "value", "gradient"):
+        raise InputError(f"phase {phase!r} must be None, 'value' or 'gradient'")
     x = np.ascontiguousarray(x, dtype=float)
     mp, n = prog.mp, prog.H.n
     if x.size != mp + 1:
@@ -289,8 +279,6 @@ def augmented_objective(
         val += float(u_box[0] @ phi_box[0] + u_box[1] @ phi_box[1])
     if phase == "value":
         return val, gradient
-    if phase is not None:
-        raise InputError(f"phase {phase!r} must be None, 'value' or 'gradient'")
     return val, gradient()
 
 
@@ -416,11 +404,11 @@ def _fd_hessian(fun_grad, x, g, screen):
     return 0.5 * (H + H.T)
 
 
-def _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at):
+def _newton_inner(fun_grad, x0, f, g, tol, screen_at):
     """Damped Newton minimization from x0 with f, g = fun_grad(x0) given; the
     Hessian is finite-differenced from the analytic gradient and modified
     to be positive definite.  Stops when ||g|| <= tol*(1 + |f|), after
-    max_iter iterations, or after an accepted step that leaves (x, f, g)
+    MAX_INNER iterations, or after an accepted step that leaves (x, f, g)
     bit for bit as they were (a step that rounds away): fun_grad and
     screen_at do not change within the call, so every later iteration
     would repeat that one, and the cap would return the same point.  Each
@@ -434,7 +422,7 @@ def _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at):
     iters = trials = 0
     failed = False
     probe = lambda y: fun_grad(y, phase="gradient")
-    for _ in range(max_iter):
+    for _ in range(MAX_INNER):
         if math.sqrt(g.dot(g)) <= tol * (1.0 + abs(f)):
             break
         screen = screen_at(x)
@@ -464,8 +452,7 @@ def _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at):
 def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
     """Outer penalty loop with spectral multiplier updates."""
     cfg = cfg or SolveConfig()
-    mp = prog.mp
-    n = prog.H.n
+    mp, n = prog.mp, prog.H.n
     k0 = np.zeros(mp) if cfg.k0 is None else np.asarray(cfg.k0, dtype=float)
     if k0.ndim != 1:
         raise InputError(f"k0 of shape {k0.shape} must be a vector of {mp} gains")
@@ -473,13 +460,6 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         raise InputError(f"k0 length {k0.size}, expected {mp}")
     if not 0 < cfg.k_bound < np.inf:
         raise InputError(f"k_bound {cfg.k_bound:.8g} must be positive and finite")
-    # the start must lie in the domain of the barriers, or the first
-    # evaluation fails inside the solver
-    out = np.flatnonzero(~(np.abs(k0) <= cfg.k_bound))
-    if out.size:
-        raise InputError(
-            f"k0 entry {k0[out[0]]:.8g} lies outside the gain box |k| <= {cfg.k_bound:.8g}"
-        )
     if not 0 < cfg.p0 < np.inf:
         raise InputError(f"p0 {cfg.p0:.8g} must be positive and finite")
     if cfg.u0 is not None and not 0 < cfg.u0 < np.inf:
@@ -492,13 +472,18 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
             raise InputError(f"{name} {tol:.8g} must be non-negative and finite")
     if not (isinstance(cfg.max_outer, numbers.Integral) and cfg.max_outer >= 1):
         raise InputError(f"max_outer {cfg.max_outer} must be an integer >= 1")
-    eig_min = float(np.linalg.eigvalsh(prog.h_eval(k0)).min())
-    lam0 = cfg.lam0 if cfg.lam0 is not None else eig_min - 1.0
-    lam_max = eig_min + cfg.p0 * (1.0 - 1e-12)
-    if not -np.inf < lam0 < lam_max:
-        raise InputError(
-            f"lam0 {lam0:.8g} must be finite and below min eig H(k0) + p0 = {lam_max:.8g}"
-        )
+    # NaN passes the objective's domain tests: the start is checked finite
+    if not np.isfinite(k0).all():
+        raise InputError(f"k0 {k0} must be finite")
+    lam0 = cfg.lam0
+    if lam0 is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            H0 = prog.h_eval(k0)
+        if not np.isfinite(H0).all():
+            raise InputError("H(k0) is not finite, so lam0 = min eig H(k0) - 1 is undefined")
+        lam0 = float(np.linalg.eigvalsh(H0).min()) - 1.0
+    if not -np.inf < lam0 < np.inf:
+        raise InputError(f"lam0 {lam0:.8g} must be finite")
     x = np.concatenate([k0, [lam0]])
 
     # default trace 1, the KKT normalization for objective -lambda
@@ -506,23 +491,37 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
     u_box = np.ones((2, mp))
     p = cfg.p0
     outer = inner_total = ls_total = 0
-    prev_f = np.inf
-    prev_viol = np.inf
-    fails = 0
-    stall = 0
+    prev_f = prev_viol = np.inf
+    fails = stall = 0
     status = "max-iters"
     history = []
     screen = _DomainScreen(prog, cfg.k_bound)
+    # both read U, p and u_box as they are at the call
+    fun = lambda xx, phase=None: augmented_objective(
+        prog, xx, U, p, k_bound=cfg.k_bound, u_box=u_box, phase=phase
+    )
+    screen_at = lambda xx: screen.at(xx, p)
+
+    # the start's evaluation is its only judge: a start outside the barrier
+    # domain at p0 is input the solve refuses
+    try:
+        f, g = fun(x)
+    except BarrierDomainError as exc:
+        if "gain box" in str(exc):
+            raise InputError(
+                f"k0 entry {k0[np.argmax(np.abs(k0))]:.17g} lies outside the gain box"
+                f" |k| <= {cfg.k_bound:.8g}: its barrier at p0 admits"
+                f" |k| < k_bound + p0 = {cfg.k_bound + cfg.p0:.17g}"
+            ) from None
+        bound = float(np.linalg.eigvalsh(prog.h_eval(k0)).min()) + cfg.p0
+        raise InputError(
+            f"lam0 {lam0:.8g} must lie below min eig H(k0) + p0 = {bound:.8g}"
+        ) from None
 
     for outer in range(1, cfg.max_outer + 1):
-        fun = lambda xx, phase=None: augmented_objective(
-            prog, xx, U, p, k_bound=cfg.k_bound, u_box=u_box, phase=phase
-        )
-        screen_at = lambda xx: screen.at(xx, p)
-        f, g = fun(x)
-        x, _, g, iters, trials, failed = _newton_inner(
-            fun, x, f, g, cfg.tol_inner, MAX_INNER, screen_at
-        )
+        if outer > 1:
+            f, g = fun(x)
+        x, _, g, iters, trials, failed = _newton_inner(fun, x, f, g, cfg.tol_inner, screen_at)
         inner_total += iters
         ls_total += trials
 

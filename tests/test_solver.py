@@ -84,27 +84,114 @@ def _k_squared_program():
 # -- input checks -------------------------------------------------------------
 
 
-def _refuse_evaluation(monkeypatch, name="augmented_objective"):
+def _refuse_evaluation(monkeypatch, name="augmented_objective", owner=solver):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name} was called")
 
-    monkeypatch.setattr(solver, name, refuse)
+    monkeypatch.setattr(owner, name, refuse)
     return refuse
 
 
-def test_solve_rejects_a_start_outside_the_gain_box(monkeypatch):
+def test_solve_rejects_a_start_outside_the_gain_box():
     prog = SofProgram(hermite_power(char_poly(NN1)), mu=1e-3, m=1, p=2)
-    _refuse_evaluation(monkeypatch)
     with pytest.raises(InputError, match="k0 entry 20000 .* 10000"):
         solve_sof(prog, SolveConfig(k0=[0.0, 2e4]))
 
 
-def test_solve_rejects_a_start_outside_the_barrier_domain(monkeypatch):
+def test_solve_rejects_a_start_outside_the_barrier_domain():
     prog = SofProgram(hermite_power(char_poly(NN1)), mu=1e-3, m=1, p=2)
     bound = float(np.linalg.eigvalsh(prog.h_eval([0.0, 30.0])).min()) + SolveConfig().p0
-    _refuse_evaluation(monkeypatch)
     with pytest.raises(InputError, match=f"lam0 1000000 .* = {bound:.8g}"):
         solve_sof(prog, SolveConfig(k0=[0.0, 30.0], lam0=1e6))
+
+
+def test_solve_accepts_a_start_past_the_gain_box_that_its_barrier_admits():
+    prog, cfg = _suite_program("NN1", "lagrange")
+    kb, p0 = cfg.k_bound, cfg.p0
+    report = solve_sof(prog, dataclasses.replace(cfg, k0=[0.0, kb + p0 / 2]))
+    assert report.outer_iters >= 1
+
+
+def test_solve_refuses_a_start_past_the_barrier_of_the_gain_box():
+    prog, cfg = _suite_program("NN1", "lagrange")
+    kb, p0 = cfg.k_bound, cfg.p0
+    k = kb + 2 * p0
+    shown = (f"k0 entry {k:.17g} lies outside the gain box |k| <= {kb:.8g}: its barrier"
+             f" at p0 admits |k| < k_bound + p0 = {kb + p0:.17g}")
+    with pytest.raises(InputError, match="^" + re.escape(shown) + "$"):
+        solve_sof(prog, dataclasses.replace(cfg, k0=[0.0, k]))
+
+
+def test_a_returned_gain_is_a_valid_warm_start():
+    # the gain box's barrier admits |k| < k_bound + p, so a solve may return
+    # a gain just past the box, as NN1's first warm start does at numpy's
+    # AVX-512 dispatch; a solve from that gain starts like any other
+    prog, cfg = _suite_program("NN1", "lagrange")
+    k = solve_sof(prog, cfg).k
+    for _ in range(2):
+        k = solve_sof(prog, dataclasses.replace(cfg, k0=k)).k
+    assert np.isfinite(k).all()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k0", np.nan), ("k0", np.inf), ("k0", -np.inf),
+    ("lam0", np.nan), ("lam0", np.inf), ("lam0", -np.inf),
+])
+def test_solve_refuses_a_non_finite_start_before_evaluating_it(monkeypatch, field, value):
+    # NaN passes every domain test of the objective
+    prog, cfg = _suite_program("NN1", "lagrange")
+    start = {"k0": [0.0, value]} if field == "k0" else {"lam0": value}
+    _refuse_evaluation(monkeypatch)
+    with pytest.raises(InputError, match=f"^{field} .*must be finite$"):
+        solve_sof(prog, dataclasses.replace(cfg, **start))
+
+
+def test_solve_refuses_a_start_whose_h_overflows_before_evaluating_it(monkeypatch):
+    # the default lam0 = min eig H(k0) - 1 needs a finite H(k0)
+    prog, cfg = _suite_program("NN1", "lagrange")
+    _refuse_evaluation(monkeypatch)
+    with pytest.raises(InputError, match=r"^H\(k0\) is not finite"):
+        solve_sof(prog, dataclasses.replace(cfg, k0=[0.0, 1e200]))
+
+
+class _Started(Exception):
+    """Raised in place of the first inner solve: the start was accepted."""
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("edge", ["gain box", "lam0"])
+def test_solve_refuses_exactly_the_starts_its_first_evaluation_rejects(monkeypatch, edge, seed):
+    prog, cfg = _suite_program("NN1", "lagrange")
+    kb, p0, n, mp = cfg.k_bound, cfg.p0, prog.H.n, prog.mp
+    rng = np.random.default_rng([32, seed])
+
+    def started(*args):
+        raise _Started
+
+    monkeypatch.setattr(solver, "_newton_inner", started)
+    # seeded offsets within 2*p0 of the edge, and the edge itself give or
+    # take an ulp or a rounding of the domain limit p*(1 - 1e-12)
+    deltas = np.append(rng.uniform(-2 * p0, 2 * p0, 24),
+                       p0 * (1.0 + np.array([-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9])))
+    refused = []
+    for delta in deltas:
+        k0 = rng.uniform(-1.0, 1.0, mp) * 10.0 ** rng.uniform(0, 4, mp)
+        if edge == "gain box":
+            k0[rng.integers(mp)] = rng.choice([-1.0, 1.0]) * (kb + delta)
+        eig_min = float(np.linalg.eigvalsh(prog.h_eval(k0)).min())
+        lam0 = eig_min - 1.0 if edge == "gain box" else eig_min + p0 + delta
+        try:
+            augmented_objective(prog, np.append(k0, lam0), np.eye(n) / n, p0, k_bound=kb)
+            rejected = False
+        except BarrierDomainError:
+            rejected = True
+        with pytest.raises((InputError, _Started)) as outcome:
+            solve_sof(prog, dataclasses.replace(cfg, k0=k0, lam0=lam0))
+        assert (outcome.type is InputError) == rejected, (k0.tolist(), lam0)
+        if rejected:
+            assert re.match(("k0 entry " if edge == "gain box" else "lam0 "), str(outcome.value))
+        refused.append(rejected)
+    assert any(refused) and not all(refused)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -561,7 +648,7 @@ def test_newton_phase_reuses_the_given_evaluation():
 
     x0 = np.array([0.3, -0.2])
     x, f, g, iters, trials, failed = _newton_inner(
-        fun_grad, x0, 1.5, np.array([1e-9, 0.0]), 1e-6, 40,
+        fun_grad, x0, 1.5, np.array([1e-9, 0.0]), 1e-6,
         lambda x: lambda Y: np.zeros(len(Y), bool),
     )
     assert calls == []
@@ -687,8 +774,8 @@ def test_inner_loop_stops_on_its_tolerance_before_the_cap(monkeypatch):
     ]
     met = []
 
-    def inner(fun_grad, x0, f, g, tol, max_iter, screen_at=None):
-        out = _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at)
+    def inner(fun_grad, x0, f, g, tol, screen_at):
+        out = _newton_inner(fun_grad, x0, f, g, tol, screen_at)
         _, f, g, *_ = out
         met.append(np.linalg.norm(g) <= tol * (1.0 + abs(f)))
         return out
@@ -816,7 +903,7 @@ def _entry_points(prog, x, U, p, **kwargs):
 
 
 @pytest.mark.parametrize("which", range(len(SCREENED) + 2))
-def test_the_value_and_gradient_phases_are_the_plain_call_bit_for_bit(which, rng):
+def test_the_value_and_gradient_phases_are_the_plain_call_bit_for_bit(monkeypatch, which, rng):
     # the five Table-1 programs, planted 4x2x2, a program without gains and
     # one whose spectrum coalesces: inside the barrier domain, outside it
     # and past the gain box, without a box, with one and with multipliers
@@ -865,6 +952,8 @@ def test_the_value_and_gradient_phases_are_the_plain_call_bit_for_bit(which, rng
     assert bool(seen["gain box"]) == (mp > 0)
     assert bool(seen["coalesced"]) == (which == len(SCREENED) + 1)
     x, p, box = inside
+    # the phase is checked before any work: H(k) is never built
+    _refuse_evaluation(monkeypatch, "h_row", SofProgram)
     with pytest.raises(InputError, match="^phase 'both' must"):
         augmented_objective(prog, x, U, p, phase="both", **box)
 
@@ -1223,14 +1312,15 @@ def test_an_inner_solve_stops_only_where_every_later_iteration_repeats(monkeypat
     make = _suite_program if isinstance(args[0], str) else _planted_program
     prog, cfg = make(*args)
     with monkeypatch.context() as mp:
-        mp.setattr(solver, "_newton_inner", _reference_newton_inner)
+        mp.setattr(solver, "_newton_inner", lambda fun_grad, x0, f, g, tol, screen_at:
+                   _reference_newton_inner(fun_grad, x0, f, g, tol, solver.MAX_INNER, screen_at))
         reference = solve_sof(prog, cfg)
     repeats = []
 
-    def inner(fun_grad, x0, f, g, tol, max_iter, screen_at=None):
-        out = _newton_inner(fun_grad, x0, f, g, tol, max_iter, screen_at)
+    def inner(fun_grad, x0, f, g, tol, screen_at):
+        out = _newton_inner(fun_grad, x0, f, g, tol, screen_at)
         x, f, g, iters, _, failed = out
-        if not failed and iters < max_iter and np.linalg.norm(g) > tol * (1.0 + abs(f)):
+        if not failed and iters < solver.MAX_INNER and np.linalg.norm(g) > tol * (1.0 + abs(f)):
             # stopped on an unchanged point: one more iteration of the
             # reference, under the same U and p, lands on it again
             x1, f1, g1, *_ = _reference_newton_inner(fun_grad, x, f, g, tol, 1, screen_at)
