@@ -199,6 +199,7 @@ class ExperimentRow:
     lam: float = float("nan")
     status: str
     stable: bool = False
+    box_active: bool = False
 
 
 def _fmt_vec(v) -> str:
@@ -265,6 +266,7 @@ def run_single(name: str, plant, cfg: ExperimentConfig) -> ExperimentRow:
             lam=report.lam,
             status=report.status,
             stable=stable,
+            box_active=report.box_active,
         )
     except (HermiteSofError, np.linalg.LinAlgError) as exc:  # a row, not an abort
         return ExperimentRow(
@@ -283,7 +285,7 @@ def run_experiment(
     ]
 
 
-CSV_HEADER = "system,basis,mu,K0,outer,inner,linesearch,K,lambda,status,stable"
+CSV_HEADER = "system,basis,mu,K0,outer,inner,linesearch,K,lambda,status,stable,box_active"
 
 
 def row_json(row: ExperimentRow) -> dict:
@@ -299,7 +301,8 @@ def _cells(r: ExperimentRow) -> list[str]:
     """The row's cells in CSV_HEADER order, as CSV and text print them."""
     lam = "nan" if math.isnan(r.lam) else f"{r.lam:.8g}"
     return [r.system, r.basis, f"{r.mu:.8g}", r.k0, str(r.outer), str(r.inner),
-            str(r.linesearch), r.K, lam, r.status, str(r.stable).lower()]
+            str(r.linesearch), r.K, lam, r.status, str(r.stable).lower(),
+            str(r.box_active).lower()]
 
 
 def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:

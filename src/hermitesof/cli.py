@@ -31,7 +31,6 @@ from .benchmarks import (
 )
 from .errors import HermiteSofError, InputError
 from .hermite import (
-    _upper,
     cond_frobenius,
     hermite_lagrange,
     hermite_power,
@@ -74,7 +73,7 @@ def cmd_hermite(args) -> int:
     if args.basis == "lagrange" and spec is None:
         raise InputError("lagrange basis needs --roots or --target-shift")
     H = hermite_form(plant.q, args.basis, spec)
-    ii, jj = _upper(H.n)
+    ii, jj = np.triu_indices(H.n)
     keys = [f"{i + 1},{j + 1}" for i, j in zip(ii.tolist(), jj.tolist())]
     entries = dict(zip(keys, poly_texts(H.E, H.C[:, ii, jj])))
     payload = {"basis": H.basis, "n": H.n, "entries": entries}

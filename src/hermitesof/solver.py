@@ -66,36 +66,38 @@ class SofProgram:
         E, C = self.H.E, self.H.C
         n = self.H.n
         # H, then dH/dk_l: the monomials with k_l in them, that exponent
-        # lowered by one and the coefficient multiplied by it
-        blocks = [(E, C)]
+        # lowered by one and the coefficient multiplied by it.  The blocks
+        # are stacked in one table, each a slice of its monomials, and
+        # v_t = prod_l P[l, E[t, l]], P[l, e] = k_l ** e by pow as in eval_at
+        Es, self._terms = [E], [(slice(0, len(E)), C.reshape(-1, n * n))]
         for l in range(self.mp):
             rows = E[:, l] > 0
-            El = E[rows]
-            El[:, l] -= 1
-            blocks.append((El, C[rows] * E[rows, l, None, None]))
-        # the blocks share most monomials: each call evaluates every
-        # distinct one once and gathers the values per block
-        index: dict[tuple, int] = {}
-        self._terms = []
-        for Eb, Cb in blocks:
-            idx = [index.setdefault(e, len(index)) for e in map(tuple, Eb.tolist())]
-            C2 = np.ascontiguousarray(Cb.reshape(len(Cb), n * n))
-            self._terms.append((np.array(idx, dtype=np.intp), C2))
-        # float exponents: k ** E casts integer ones to float on every call
-        self._E = np.array(list(index), dtype=float).reshape(len(index), self.mp)
+            Es.append(E[rows] - np.eye(1, self.mp, l, dtype=E.dtype))
+            end = self._terms[-1][0].stop
+            C2 = (C[rows] * E[rows, l, None, None]).reshape(-1, n * n)
+            self._terms.append((slice(end, end + len(C2)), C2))
+        self._deg = int(E.max(initial=0)) + 1
+        self._expo = np.arange(self._deg, dtype=float)
+        self._cols = np.concatenate(Es).T + self._deg * np.arange(self.mp)[:, None]
         self._eye = np.eye(n)
         # H and each dG/dx_i flattened, the last row dG/dlambda = -I
         self._stack = np.zeros((self.mp + 2, n * n))
         self._stack[-1] = -self._eye.ravel()
 
+    def _values(self, k, cols) -> np.ndarray:
+        """The values at k of the monomials in the columns cols of the table."""
+        P = np.asarray(k, dtype=float)[:, None] ** self._expo
+        return np.multiply.reduce(P.ravel()[cols])
+
     def h_eval(self, k) -> np.ndarray:
-        """H(k) alone, by the form's own evaluator HermiteForm.eval_at."""
-        return self.H.eval_at(k)
+        """H(k) alone, from the first block of the table."""
+        idx, C2 = self._terms[0]
+        return np.dot(self._values(k, self._cols[:, idx]), C2).reshape(self.H.n, self.H.n)
 
     def h_row(self, k) -> tuple[np.ndarray, np.ndarray]:
         """A fresh stack with H(k) flattened in its first row and -I in its
         last, and the monomial values v that partial_rows reads."""
-        v = np.multiply.reduce(np.asarray(k, dtype=float) ** self._E, axis=1)
+        v = self._values(k, self._cols)
         S = self._stack.copy()
         idx, C2 = self._terms[0]
         np.dot(v[idx], C2, out=S[0])
@@ -156,6 +158,9 @@ class SolveReport:
     k: np.ndarray
     # one (lam, min eig of G = H(k) - lam*I, f) triple per outer iteration
     history: list
+    # some |k_i| >= k_bound - p at the final p: the gain box, not the
+    # program, may have stopped k
+    box_active: bool
 
 
 def constraint_eval(prog: SofProgram, x) -> tuple[np.ndarray, np.ndarray]:
@@ -307,14 +312,12 @@ class _DomainScreen:
     SCREEN_ROUNDING = 64
 
     def __init__(self, prog: SofProgram, k_bound: float):
-        E, C = prog.H.E, prog.H.C
+        C = prog.H.C
         n, T = prog.H.n, len(C)
         self.k_bound = k_bound
         self._h_eval, self._C = prog.h_eval, C
-        # v = prod_l P[l, E[t, l]] over a table P of each gain's powers,
-        # gathered through flat indices into it, one row of them per gain
-        self._deg = int(E.max(initial=0)) + 1
-        self._cols = (E + self._deg * np.arange(prog.mp)).T
+        # v = prod_l P[l, E[t, l]] through the program's indices of H's block
+        self._deg, self._cols = prog._deg, prog._cols[:, prog._terms[0][0]]
         self._tau = self.SCREEN_ROUNDING * (n + T) * np.finfo(float).eps
         self._slack = self._tau * np.abs(C).sum(axis=1).max(axis=1)
 
@@ -591,6 +594,7 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         objective=f,
         k=k,
         history=history,
+        box_active=bool((np.abs(k) >= cfg.k_bound - p).any()),
     )
 
 

@@ -211,6 +211,16 @@ def test_criterion_6_solver_end_to_end(suite_runs):
         assert row.inner > 0 and row.outer > 0  # counters are reported
 
 
+def test_the_gain_box_flag_marks_the_rows_pinned_at_the_box(suite_runs):
+    rows, _ = suite_runs
+    # NN1's k2 ends at the box k_bound = 1e4 in both bases; the AC4 and NN6
+    # gains lie far inside theirs
+    solved = [r for r in rows if not r.status.startswith("skipped")]
+    assert len(solved) == 5
+    assert {(r.system, r.basis) for r in solved if r.box_active} == {
+        ("NN1", "power"), ("NN1", "lagrange")}
+
+
 def test_criterion_7_basis_benefit_trend():
     nn6_solver = SolveConfig(
         p0=0.01, u0=1.0 / 9, sigma=1.0, tol_inner=1e-8, k_bound=1e8, max_outer=150

@@ -159,7 +159,8 @@ def test_run_experiment_skips_missing_data():
 
 
 def test_csv_header_layout():
-    assert CSV_HEADER == "system,basis,mu,K0,outer,inner,linesearch,K,lambda,status,stable"
+    assert CSV_HEADER == (
+        "system,basis,mu,K0,outer,inner,linesearch,K,lambda,status,stable,box_active")
     rows = run_experiment([("GHOST", None, ExperimentConfig("power", 1e-3))])
     out = rows_to_csv(rows)
     assert out.splitlines()[0] == CSV_HEADER

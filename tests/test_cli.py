@@ -528,7 +528,7 @@ def _fixed_rows(jobs):
             system=name, basis=cfg.basis, mu=cfg.mu, k0=f"[{i} 0]", outer=i, inner=7 * i,
             linesearch=31 * i, K=f"[{-i / 3:.8g} {i * 1e-9:.8g}]",
             lam=float("nan") if i % 4 > 1 else -(10.0 ** i) / 3,
-            status=statuses[i % 4], stable=i % 4 == 0,
+            status=statuses[i % 4], stable=i % 4 == 0, box_active=i % 3 == 0,
         )
         for i, (name, _, cfg) in enumerate(jobs)
     ]
@@ -536,7 +536,7 @@ def _fixed_rows(jobs):
 
 # SHA-256 over the argv, exit code and stdout of each display command on
 # every embedded fixture and of `bench --suite table1` over `_fixed_rows`
-DISPLAY_DIGEST = "3edb367bbc8dc37343df6806ab1429c63f61e8f935544fe14ca4a3fa6ed06ee6"
+DISPLAY_DIGEST = "94b14c43a1f0f14d4a67b73867a5fb015cf4612b954cf73b5b51bf25e7877a62"
 
 
 def test_every_display_command_prints_the_pinned_bytes(capsys, monkeypatch):

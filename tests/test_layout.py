@@ -36,6 +36,19 @@ def test_no_import_sits_inside_a_function_or_class():
     assert not nested
 
 
+def test_no_module_imports_a_private_name_from_a_sibling():
+    private = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 or (node.module or "").split(".")[0] == "hermitesof")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private
+
+
 def test_the_intra_package_import_graph_has_no_cycle():
     graph = {name: _package_imports(tree) for name, tree in MODULES.items()}
     assert graph["hermite"] >= {"stability"} and "hermite" not in graph["stability"]

@@ -15,7 +15,7 @@ from hermitesof.benchmarks import (
     NN6_ACHIEVABLE_GAIN, get_plant, hermite_form, run_single, suite_config, table1_suite,
 )
 from hermitesof.errors import BarrierDomainError, InputError
-from hermitesof.hermite import hermite_power, scaled_hermite
+from hermitesof.hermite import HermiteForm, hermite_power, scaled_hermite
 from hermitesof.polynomials import char_poly
 from hermitesof.solver import (
     SofProgram,
@@ -862,10 +862,40 @@ def test_h_eval_is_the_forms_evaluator_and_the_first_block_of_eval_stack(which):
         k = rng.standard_normal(prog.mp)
         k[rng.integers(prog.mp)] = rng.choice([-kb, kb])
         gains += [k, rng.choice([-kb, kb], prog.mp)]
+    # entries of either sign with |k_i| from 1e-3 to 1e4
+    gains += [rng.choice([-1.0, 1.0], prog.mp) * 10.0 ** rng.uniform(-3.0, 4.0, prog.mp)
+              for _ in range(20)]
     for k in gains:
         H = prog.h_eval(k)
         assert H.shape == (prog.H.n, prog.H.n)
         assert H.tobytes() == prog.H.eval_at(k).tobytes() == prog.h_row(k)[0][0].tobytes()
+
+
+@pytest.mark.parametrize("which", [0, 1, 3, 4, 5],
+                         ids=["NN1-power", "NN1-lagrange", "AC4-lagrange", "NN6-lagrange",
+                              "planted-4x2x2"])
+def test_a_solve_evaluates_h_only_through_its_program(monkeypatch, which):
+    # the form's evaluator serves display, cond and scaling; a solve reads
+    # H(k) from the program's compiled table alone
+    prog, cfg = SCREENED[which]
+    expected = pickle.dumps(solve_sof(prog, cfg))
+    _refuse_evaluation(monkeypatch, "eval_at", HermiteForm)
+    assert pickle.dumps(solve_sof(prog, cfg)) == expected
+
+
+@pytest.mark.parametrize("terms, pinned", [
+    ({(0,): 1.0, (1,): 1.0}, True),
+    ({(0,): 1.0, (1,): -1.0}, True),
+    ({(0,): 1.0, (1,): 1.0, (2,): -1.0}, False),
+], ids=["k-up", "k-down", "interior"])
+def test_box_active_flags_a_gain_that_the_gain_box_stopped(terms, pinned):
+    # H = [[1 +- k]]: lambda <= 1 +- k grows without bound, so only the box
+    # stops k; H = [[1 + k - k^2]] has its optimum at k = 0.45, inside it
+    prog = SofProgram(pack_entries("power", [[terms]], 1), mu=0.1, m=1, p=1)
+    report = solve_sof(prog, SolveConfig(k_bound=10.0))
+    assert report.status == "converged"
+    assert report.box_active is pinned
+    assert bool(abs(report.k[0]) > 9.0) is pinned
 
 
 def _rejected(prog, y, p, k_bound):
