@@ -178,7 +178,9 @@ def cmd_verify(args) -> int:
     if len(gains) != m * p:
         raise InputError(f"expected {m * p} gains, got {len(gains)}")
     K = np.asarray(gains).reshape((m, p), order="F")
-    poles, stable, margin = verify_solution(plant.q, K)
+    # huge gains overflow q(K): verify_solution refuses them, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        poles, stable, margin = verify_solution(plant.q, K)
     _show(
         args,
         {"poles": [f"{z:.8g}" for z in poles], "stable": stable, "margin": f"{margin:.8g}"},

@@ -23,4 +23,10 @@ class NodeCountError(HermiteSofError):
 
 
 class BarrierDomainError(HermiteSofError):
-    """Matrix argument left the domain of the shifted log barrier."""
+    """Matrix argument left the domain of the shifted log barrier.  `top`
+    is the largest eigenvalue of the matrix that crossed the domain limit,
+    or None when the point was rejected before one was computed."""
+
+    def __init__(self, message: str, top: float | None = None):
+        super().__init__(message)
+        self.top = top

@@ -23,7 +23,7 @@ of G = H(k) - lambda*I, f) from H(k) alone (SofProgram.h_eval), and the
 report reads the last record.
 
 Before an inner iteration evaluates its probes or its line-search steps,
-_DomainScreen proves some of them outside the domain in one batch, and
+SofProgram.screen proves some of them outside the domain in one batch, and
 those are skipped unevaluated.  It flags only points the objective
 rejects, so every iterate is the same as without it.
 """
@@ -33,10 +33,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BarrierDomainError, InputError
+from .errors import BarrierDomainError, DegenerateInputError, InputError
 from .hermite import HermiteForm
 from .polynomials import CharPoly, vec_gain
 from .stability import roots as poly_roots
@@ -109,6 +110,52 @@ class SofProgram:
         for row, (idx, C2) in zip(S[1:], self._terms[1:]):
             np.dot(v[idx], C2, out=row)
 
+    @cached_property
+    def _allowance(self) -> tuple[float, np.ndarray]:
+        """tau and tau * ||C_t||_1 per monomial t of H, for screen."""
+        tau = SCREEN_ROUNDING * (self.H.n + len(self.H.C)) * np.finfo(float).eps
+        return tau, tau * np.abs(self.H.C).sum(axis=1).max(axis=1)
+
+    def screen(self, x, p: float, k_bound: float):
+        """flags(Y), one flag per row y = (k, lambda) of Y: True where
+        augmented_objective(self, y, U, p, k_bound) would raise
+        BarrierDomainError, proved without evaluating it.  With q_a the
+        eigenvectors of H at the base point x and v(y) the monomial values
+        at k, H(k) = sum_t v_t C_t and Z(y) = lambda*I - H(k) give
+        q_a' Z(y) q_a = lambda - v(y) . D[:, a], D[t, a] = q_a' C_t q_a, so
+        lambda - min_a v(y) . D[:, a] is a lower bound on max eig Z(y).  A
+        point is flagged when the bound exceeds the domain limit
+        p*(1 - 1e-12) by the rounding allowance, or when it fails the
+        gain-box test.  The flags depend on x, p and k_bound alone;
+        _fd_hessian and _armijo each ask them once per inner iteration,
+        about all of their trial points, before they evaluate any."""
+        tau, slack = self._allowance
+        _, Q = np.linalg.eigh(self.h_eval(x[:-1]))
+        D = np.einsum("ia,tia->ta", Q, self.H.C @ Q)
+        # v = prod_l P[l, E[t, l]] through the indices of H's block
+        deg, cols = self._deg, self._cols[:, self._terms[0][0]]
+
+        def flags(Y) -> np.ndarray:
+            # numpy reduces a short last axis several times slower than a
+            # first one, so the gains, products and minima are reduced
+            # transposed; the values, and the layout of v that the products
+            # with it see, are those of the row-major reductions
+            Kt, lam = np.ascontiguousarray(Y[:, :-1].T), Y[:, -1]
+            P = np.empty((len(Kt), deg, Kt.shape[1]))
+            P[:, 0] = 1.0
+            for e in range(1, deg):
+                np.multiply(P[:, e - 1], Kt, out=P[:, e])
+            # v[r, t] for the gains in column r of Kt
+            v = np.multiply.reduce(P.reshape(-1, Kt.shape[1])[cols], axis=0).T
+            bound = lam - np.minimum.reduce(np.ascontiguousarray((v @ D).T), axis=0)
+            over = bound - tau * np.abs(lam) - np.abs(v) @ slack
+            # augmented_objective's box test: max(-k_bound - k_i, k_i - k_bound)
+            # is |k_i| - k_bound, rounded the same way
+            box = np.maximum.reduce(np.abs(Kt), axis=0, initial=-math.inf) - k_bound
+            return np.maximum(over, box) >= p * (1.0 - 1e-12)
+
+        return flags
+
 
 # the convergence, line-search and penalty constants of the method
 TOL_FEAS = 1e-6  # largest constraint violation max eig(-G) at a converged point
@@ -120,6 +167,12 @@ MAX_INNER = 100  # Newton steps of one inner solve
 P_MIN = 1e-12  # floor of the penalty parameter
 STALL_WINDOW = 10  # outer iterations with lambda pinned <= 0 before giving up
 U_DIVERGED = 1e6  # tr U past this ends a solve as diverged; a KKT point has tr U = 1
+# The screen's allowance is SCREEN_ROUNDING * (n + T) * eps * (|lambda| +
+# sum_t |v_t| ||C_t||_1), a bound on ||Z(y)||_2.  It covers the error of the
+# evaluated Z (T-term sums), of eigh (backward error of order n*eps in ||Z||)
+# and of the bound itself (n-term sums in D, T-term sums in v . D, the
+# monomial products), with room to spare.
+SCREEN_ROUNDING = 64
 # the line-search steps 1, BACKTRACK, BACKTRACK**2, ...
 _STEPS = BACKTRACK ** np.arange(MAX_LINESEARCH)
 # the finite-difference probe offsets in units of h0: +1, -1, +1/8, -1/8, ...
@@ -231,8 +284,9 @@ def augmented_objective(
     S, v = prog.h_row(k)
     # -(H - lam*I), not lam*I - H: that turns -0.0 entries into +0.0
     w, Q = np.linalg.eigh(-(S[0].reshape(n, n) - lam * prog._eye))
-    if np.maximum.reduce(w) >= limit:
-        raise BarrierDomainError("iterate left the barrier domain")
+    top = np.maximum.reduce(w)
+    if top >= limit:
+        raise BarrierDomainError("iterate left the barrier domain", top=float(top))
     wp = w / -p  # is -w / p exactly
     phi = -p * np.log1p(wp)
     Ut = Q.T @ U @ Q
@@ -287,79 +341,15 @@ def augmented_objective(
     return val, gradient()
 
 
-class _DomainScreen:
-    """Proves trial points y = (k, lambda) outside the domain of
-    augmented_objective(prog, y, U, p, k_bound), without evaluating them.
-
-    With q_a the eigenvectors of H at the base point x and v(y) the monomial
-    values at k, H(k) = sum_t v_t C_t and Z(y) = lambda*I - H(k) give
-    q_a' Z(y) q_a = lambda - v(y) . D[:, a], D[t, a] = q_a' C_t q_a, so
-    lambda - min_a v(y) . D[:, a] is a lower bound on max eig Z(y).  A point
-    is flagged when the bound exceeds augmented_objective's domain limit
-    p*(1 - 1e-12) by a rounding allowance, or when it fails the gain-box
-    test.
-
-    One screen serves a solve; `at` points it at the base point of an inner
-    iteration and builds the bound there.  _fd_hessian and _armijo each ask
-    it once per inner iteration, about all of their trial points, before
-    they evaluate any."""
-
-    # The allowance is SCREEN_ROUNDING * (n + T) * eps * (|lambda| +
-    # sum_t |v_t| ||C_t||_1), a bound on ||Z(y)||_2.  It covers the error of
-    # the evaluated Z (T-term sums), of eigh (backward error of order n*eps
-    # in ||Z||) and of the bound itself (n-term sums in D, T-term sums in
-    # v . D, the monomial products), with room to spare.
-    SCREEN_ROUNDING = 64
-
-    def __init__(self, prog: SofProgram, k_bound: float):
-        C = prog.H.C
-        n, T = prog.H.n, len(C)
-        self.k_bound = k_bound
-        self._h_eval, self._C = prog.h_eval, C
-        # v = prod_l P[l, E[t, l]] through the program's indices of H's block
-        self._deg, self._cols = prog._deg, prog._cols[:, prog._terms[0][0]]
-        self._tau = self.SCREEN_ROUNDING * (n + T) * np.finfo(float).eps
-        self._slack = self._tau * np.abs(C).sum(axis=1).max(axis=1)
-
-    def at(self, x, p: float) -> _DomainScreen:
-        self._limit = p * (1.0 - 1e-12)
-        _, Q = np.linalg.eigh(self._h_eval(x[:-1]))
-        self._D = np.einsum("ia,tia->ta", Q, self._C @ Q)
-        return self
-
-    def _monomials(self, Kt) -> np.ndarray:
-        """v[r, t] for the gains in column r of Kt (mp x rows)."""
-        P = np.empty((len(Kt), self._deg, Kt.shape[1]))
-        P[:, 0] = 1.0
-        for e in range(1, self._deg):
-            np.multiply(P[:, e - 1], Kt, out=P[:, e])
-        return np.multiply.reduce(P.reshape(-1, Kt.shape[1])[self._cols], axis=0).T
-
-    def __call__(self, Y) -> np.ndarray:
-        """One flag per row of Y: True where augmented_objective would raise
-        BarrierDomainError."""
-        # numpy reduces a short last axis several times slower than a first
-        # one, so the gains, products and minima are reduced transposed; the
-        # values, and the layout of v that the products with it see, are
-        # those of the row-major reductions
-        Kt, lam = np.ascontiguousarray(Y[:, :-1].T), Y[:, -1]
-        v = self._monomials(Kt)
-        bound = lam - np.minimum.reduce(np.ascontiguousarray((v @ self._D).T), axis=0)
-        over = bound - self._tau * np.abs(lam) - np.abs(v) @ self._slack
-        # augmented_objective's box test: max(-k_bound - k_i, k_i - k_bound)
-        # is |k_i| - k_bound, rounded the same way
-        box = np.maximum.reduce(np.abs(Kt), axis=0, initial=-math.inf) - self.k_bound
-        return np.maximum(over, box) >= self._limit
-
-
 def _armijo(fun_grad, x, f, d, slope, screen):
     """Backtracking line search along d from x, where f = fun_grad(x)[0]
-    and slope is the directional derivative.  `screen` (see _DomainScreen)
-    is asked about all MAX_LINESEARCH steps before the first is evaluated,
-    and the steps it flags are skipped; a step outside the barrier domain,
-    evaluated or skipped, counts as a trial and is backtracked from.  Each
-    evaluated step takes the value phase, fun_grad(y, phase="value"), and
-    only the accepted step runs its gradient phase.
+    and slope is the directional derivative.  `screen` (flags of
+    SofProgram.screen) is asked about all MAX_LINESEARCH steps before the
+    first is evaluated, and the steps it flags are skipped; a step outside
+    the barrier domain, evaluated or skipped, counts as a trial and is
+    backtracked from.  Each evaluated step takes the value phase,
+    fun_grad(y, phase="value"), and only the accepted step runs its
+    gradient phase.
 
     Returns (step, f, g, trials) at the accepted point, with f and g None
     when no step passes the Armijo test within MAX_LINESEARCH trials.
@@ -426,7 +416,7 @@ def _newton_inner(fun_grad, x0, f, g, tol, screen_at):
     failed = False
     probe = lambda y: fun_grad(y, phase="gradient")
     for _ in range(MAX_INNER):
-        if math.sqrt(g.dot(g)) <= tol * (1.0 + abs(f)):
+        if math.sqrt(g.dot(g)) <= tol * (1.0 + abs(float(f))):
             break
         screen = screen_at(x)
         H = _fd_hessian(probe, x, g, screen)
@@ -498,17 +488,18 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
     fails = stall = 0
     status = "max-iters"
     history = []
-    screen = _DomainScreen(prog, cfg.k_bound)
     # both read U, p and u_box as they are at the call
     fun = lambda xx, phase=None: augmented_objective(
         prog, xx, U, p, k_bound=cfg.k_bound, u_box=u_box, phase=phase
     )
-    screen_at = lambda xx: screen.at(xx, p)
+    screen_at = lambda xx: prog.screen(xx, p, cfg.k_bound)
 
     # the start's evaluation is its only judge: a start outside the barrier
-    # domain at p0 is input the solve refuses
+    # domain at p0, or one where the value or gradient is not finite, is
+    # input the solve refuses
     try:
-        f, g = fun(x)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f, g = fun(x)
     except BarrierDomainError as exc:
         if "gain box" in str(exc):
             raise InputError(
@@ -516,10 +507,17 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
                 f" |k| <= {cfg.k_bound:.8g}: its barrier at p0 admits"
                 f" |k| < k_bound + p0 = {cfg.k_bound + cfg.p0:.17g}"
             ) from None
-        bound = float(np.linalg.eigvalsh(prog.h_eval(k0)).min()) + cfg.p0
+        given = "the default min eig H(k0) - 1" if cfg.lam0 is None else "given"
         raise InputError(
-            f"lam0 {lam0:.8g} must lie below min eig H(k0) + p0 = {bound:.8g}"
+            f"lam0 {lam0:.17g} ({given}) lies outside the barrier domain at p0:"
+            f" max eig(lam0*I - H(k0)) = {exc.top:.17g}"
+            f" >= p0*(1 - 1e-12) = {cfg.p0 * (1.0 - 1e-12):.17g}"
         ) from None
+    if not (math.isfinite(f) and np.isfinite(g).all()):
+        raise InputError(
+            f"the objective or its gradient is not finite at the start: lam0 {lam0:.8g},"
+            f" mu {prog.mu:.8g}, p0 {cfg.p0:.8g}"
+        )
 
     for outer in range(1, cfg.max_outer + 1):
         if outer > 1:
@@ -531,9 +529,10 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
         k, lam = x[:-1], x[-1]
         w, Q = np.linalg.eigh(-(prog.h_eval(k) - lam * prog._eye))
         viol = max(0.0, float(w.max()))
-        # f = mu*||k|| - lambda, as augmented_objective computes it
-        f = prog.mu * math.sqrt(k.dot(k)) - lam
-        history.append((float(lam), float(-w.max()), float(f)))
+        # f = mu*||k|| - lambda, as augmented_objective computes it; a Python
+        # float, so the stop tests below overflow to inf without a warning
+        f = float(prog.mu * math.sqrt(k.dot(k)) - lam)
+        history.append((float(lam), float(-w.max()), f))
 
         # spectral multiplier update: congruence with phi'(Z)^(1/2)
         W = Q @ np.diag(np.sqrt(_phi_prime(w, p))) @ Q.T
@@ -601,6 +600,15 @@ def solve_sof(prog: SofProgram, cfg: SolveConfig | None = None) -> SolveReport:
 def verify_solution(q: CharPoly, K) -> tuple[np.ndarray, bool, float]:
     """Closed-loop poles of q(k) at gain K plus a strict-stability flag and
     margin."""
-    rts = poly_roots(q.at_gains(vec_gain(K)))
+    k = vec_gain(K)
+    # huge gains overflow q(K): poly_roots refuses the non-finite
+    # coefficients, and the refusal names the gains
+    try:
+        rts = poly_roots(q.at_gains(k))
+    except DegenerateInputError as exc:
+        if "non-finite" not in str(exc):
+            raise
+        listed = ",".join(f"{v:.8g}" for v in k)
+        raise InputError(f"gains K = {listed} give a non-finite coefficient of q") from None
     margin = float(np.max(rts.real))
     return rts, margin < 0.0, margin

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,66 @@ def test_solve_rejects_non_finite_or_negative_settings(flags, says, capsys):
     rc = main(["solve", "--fixture", "NN1", "--basis", "power"] + flags)
     assert f"error: {says}" in capsys.readouterr().out
     assert rc == 2
+
+
+def test_verify_at_gains_that_overflow_q_is_an_input_error(capsys):
+    # q(K) overflows at these gains: refused with the gains named, as cond
+    # refuses them, without a RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["verify", "--fixture", "NN1", "--K", "1e308,1e308"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: gains K = 1e+308,1e+308 give a non-finite coefficient of q\n"
+
+
+@pytest.mark.parametrize("flags, lam0, mu, p0", [
+    (["--basis", "lagrange", "--lambda0=-1e308"], "-1e+308", "0.0001", "0.001"),
+    (["--basis", "power", "--mu", "1e308"], "-31", "1e+308", "0.001"),
+    (["--basis", "power", "--P0", "1e-320"], "-31", "0.001", "9.9998887e-321"),
+])
+def test_a_start_whose_first_evaluation_is_not_finite_is_refused(flags, lam0, mu, p0, capsys):
+    # -inf, +inf and a NaN gradient at the start: an error row naming the
+    # start's settings, not warnings and a solve that stalls
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["solve", "--fixture", "NN1"] + flags)
+    row = capsys.readouterr().out.splitlines()[1]
+    assert rc == 2
+    assert (f"error: the objective or its gradient is not finite at the start: lam0 {lam0},"
+            f" mu {mu}, p0 {p0}") in row
+
+
+@pytest.mark.parametrize("flag", ["--tol-inner", "--tol-outer"])
+def test_a_huge_tolerance_overflows_the_stop_tests_without_a_warning(flag, capsys):
+    # tol * (1 + |f|) is inf: the test passes, as it would have after the
+    # warning, and the solve ends with a result, not an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["solve", "--fixture", "NN1", "--basis", "lagrange", flag, "1e308"])
+    row = capsys.readouterr().out.splitlines()[1]
+    assert rc in (0, 1) and "error:" not in row
+
+
+def test_a_refused_default_lam0_prints_the_eigenvalue_that_crossed_the_limit(capsys):
+    # at these roots ||H(k0)||_F is about 8.5e25: eigh's rounding puts the
+    # default lam0 = min eig H(k0) - 1 outside the domain, and the row says
+    # which eigenvalue crossed which limit
+    rc = main(["solve", "--fixture", "NN1", "--basis", "lagrange",
+               "--roots", "-1e-5,-2e-5,-3e-5"])
+    row = capsys.readouterr().out.splitlines()[1]
+    assert rc == 2
+    found = re.search(
+        r"error: lam0 (\S+) \(the default min eig H\(k0\) - 1\) lies outside the barrier"
+        r" domain at p0: max eig\(lam0\*I - H\(k0\)\) = (\S+) >= p0\*\(1 - 1e-12\) = (\S+) ",
+        row,
+    )
+    assert found, row
+    lam0, top, limit = (float(v) for v in found.groups())
+    assert lam0 < 0.0 and top >= limit == 0.001 * (1.0 - 1e-12)
+    # a given lam0 is named as given
+    main(["solve", "--fixture", "NN1", "--basis", "lagrange", "--lambda0", "100"])
+    assert "error: lam0 100 (given) lies outside" in capsys.readouterr().out
 
 
 def test_bench_table2_skips_without_data(capsys, tmp_path):

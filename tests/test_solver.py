@@ -100,8 +100,13 @@ def test_solve_rejects_a_start_outside_the_gain_box():
 
 def test_solve_rejects_a_start_outside_the_barrier_domain():
     prog = SofProgram(hermite_power(char_poly(NN1)), mu=1e-3, m=1, p=2)
-    bound = float(np.linalg.eigvalsh(prog.h_eval([0.0, 30.0])).min()) + SolveConfig().p0
-    with pytest.raises(InputError, match=f"lam0 1000000 .* = {bound:.8g}"):
+    # the largest eigenvalue the objective's domain test read, and its limit
+    top = np.linalg.eigh(-(prog.h_eval([0.0, 30.0]) - 1e6 * np.eye(prog.H.n)))[0].max()
+    limit = SolveConfig().p0 * (1.0 - 1e-12)
+    assert top >= limit
+    shown = (f"lam0 1000000 (given) lies outside the barrier domain at p0:"
+             f" max eig(lam0*I - H(k0)) = {top:.17g} >= p0*(1 - 1e-12) = {limit:.17g}")
+    with pytest.raises(InputError, match="^" + re.escape(shown) + "$"):
         solve_sof(prog, SolveConfig(k0=[0.0, 30.0], lam0=1e6))
 
 
@@ -629,6 +634,14 @@ def test_verify_solution_keeps_a_root_whose_polish_overflows():
     assert relerr(margin, 3.75) <= 1e-8
 
 
+def test_verify_solution_refuses_gains_that_overflow_q():
+    # q(K) at 1e308 overflows: the gains are refused by name; the caller
+    # decides whether numpy warns on the way (the CLI does not)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InputError, match=r"^gains K = 1e\+308,-1e\+308 give a non-finite"):
+            verify_solution(NN1.q, [[1e308, -1e308]])
+
+
 def test_verify_solution_after_solve():
     report = solve_sof(
         _ac4_scaled_program(), SolveConfig(k0=[0.0, 0.0], u0=1.0 / 9)
@@ -1037,7 +1050,7 @@ def test_screen_flags_only_points_augmented_objective_rejects(
     Y = x + np.array(steps)[:, None] * d
     far = x.copy()
     far[-1] = np.linalg.eigvalsh(H).max() + 2.0 * p + 1.0
-    screen = solver._DomainScreen(prog, kb).at(x, p)
+    screen = prog.screen(x, p, kb)
     flags = screen(np.vstack([Y, far]))
     assert flags[-1]  # the screen is not trivially silent
     for y in Y[flags[:-1]]:
@@ -1049,7 +1062,7 @@ def test_screen_flags_only_points_augmented_objective_rejects(
     lam = np.linalg.eigvalsh(H).min() - 1e-12 * np.abs(H).sum()
     x = np.append(k, lam - edge_gap * 1e-6 * (1.0 + abs(lam)))
     assert not _rejected(prog, x, p, kb)
-    screen.at(x, p)
+    screen = prog.screen(x, p, kb)
     screened = []
 
     def recorded(probes):
@@ -1073,7 +1086,7 @@ def test_a_program_without_gains_takes_the_box_code_with_an_empty_box(rng):
     prog = SofProgram(_const_form(A @ A.T + np.eye(3)), mu=0.0, m=1, p=0)
     U, p = np.eye(3) / 3.0, 1e-3
     edge = float(np.linalg.eigvalsh(prog.h_eval([])).min())
-    screen = solver._DomainScreen(prog, 1e4).at(np.array([edge - 1.0]), p)
+    screen = prog.screen(np.array([edge - 1.0]), p, 1e4)
     shares = [-10.0, -1.0, 0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 1e3]
     Y = np.array([[edge + t * p] for t in shares])
     flags = screen(Y)
@@ -1088,6 +1101,25 @@ def test_a_program_without_gains_takes_the_box_code_with_an_empty_box(rng):
         ref_val, ref_grad = augmented_objective(prog, y, U, p)
         assert (val, grad.tobytes()) == (ref_val, ref_grad.tobytes())
     assert not all(flags) and any(_rejected(prog, y, p, 1e4) for y in Y)
+
+
+@pytest.mark.parametrize("which", range(len(SCREENED)))
+def test_a_screen_keeps_its_base_point(which):
+    # flags built at x1 give their first verdicts after flags are built at
+    # another base point, penalty and lambda: each depends on its own alone
+    prog, cfg = SCREENED[which]
+    rng = np.random.default_rng([17, which])
+    kb = cfg.k_bound
+    k1, k2 = rng.standard_normal(prog.mp), 3.0 * rng.standard_normal(prog.mp)
+    edge = np.linalg.eigvalsh(prog.h_eval(k1)).min()
+    # lambda past the edge at k1 by 1e-4 up to 1e3, at k1 and at k2
+    past = edge + np.logspace(-4.0, 3.0, 15)
+    Y = np.vstack([np.column_stack([np.tile(k, (15, 1)), past]) for k in (k1, k2)])
+    first = prog.screen(np.append(k1, edge - 1.0), 1e-3, kb)
+    verdicts = first(Y)
+    second = prog.screen(np.append(k2, edge - 50.0), 10.0, kb)
+    assert (second(Y) != verdicts).any()  # the two screens differ on Y
+    assert first(Y).tolist() == verdicts.tolist()
 
 
 def test_trial_sequences_are_screened_once_before_their_first_evaluation():
@@ -1253,17 +1285,9 @@ def test_line_search_steps_are_the_products_of_the_backtracking_factor():
     assert solver._STEPS.tobytes() == np.cumprod(steps).tobytes()
 
 
-class _NoScreen:
+def _no_screen(x, p, k_bound):
     """A domain screen that flags nothing."""
-
-    def __init__(self, *args):
-        pass
-
-    def at(self, *args):
-        return self
-
-    def __call__(self, Y):
-        return np.zeros(len(Y), dtype=bool)
+    return lambda Y: np.zeros(len(Y), dtype=bool)
 
 
 def _solve_recording(monkeypatch, prog, cfg):
@@ -1302,18 +1326,19 @@ def test_screen_keeps_every_report_and_saves_evaluations(monkeypatch, args):
     prog, cfg = make(*args)
     asked = []
 
-    class Counted(solver._DomainScreen):
-        def __call__(self, Y):
-            asked.append(len(Y))
-            return super().__call__(Y)
+    screen = prog.screen
 
-    monkeypatch.setattr(solver, "_DomainScreen", Counted)
+    def counted(x, p, k_bound):
+        flags = screen(x, p, k_bound)
+        return lambda Y: asked.append(len(Y)) or flags(Y)
+
+    monkeypatch.setattr(prog, "screen", counted)
     screened, calls = _solve_recording(monkeypatch, prog, cfg)
     # each inner iteration asks about all of its probes, then about all of
     # its line-search steps
     inner = pickle.loads(screened).inner_iters
     assert asked == [40 * (prog.mp + 1), solver.MAX_LINESEARCH] * inner
-    monkeypatch.setattr(solver, "_DomainScreen", _NoScreen)
+    monkeypatch.setattr(prog, "screen", _no_screen)
     unscreened, calls_unscreened = _solve_recording(monkeypatch, prog, cfg)
     assert screened == unscreened
     assert len(calls) < len(calls_unscreened)
